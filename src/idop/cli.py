@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=1, help="tensor rank (default 1)")
@@ -81,7 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES) + ["all"],
         help="which suite to run (default all)",
     )
-    p.add_argument("--samples", type=int, default=None, help="override randomized sample counts")
+    p.add_argument(
+        "--samples", type=_positive_int, default=None, help="override randomized sample counts"
+    )
     return parser
 
 

@@ -65,12 +65,12 @@ class Element1:
                 p = hpoly.trim(p)
                 if p:
                     g[int(i)] = p
-        f: dict[Tuple[int, int], Fraction] = {}
+        f: dict[Tuple[int, int], Scalar] = {}
         if fpart:
             for (s, t), c in fpart.items():
                 if s < 0 or t < 0:
                     raise ValueError(f"e-unit indices must be nonnegative, got ({s},{t})")
-                c = Fraction(c)
+                c = hpoly.exact(c)
                 if c:
                     f[(s, t)] = c
         self.graded = g
@@ -114,7 +114,7 @@ class Element1:
 
     __hash__ = None  # mutable dict fields; canonical equality only
 
-    def atoms(self) -> Iterator[Tuple[Atom, Fraction]]:
+    def atoms(self) -> Iterator[Tuple[Atom, Scalar]]:
         """Expand the canonical form over basis atoms (nonzero coefficients only)."""
         for i, p in self.graded.items():
             for t, c in enumerate(p):
@@ -123,7 +123,7 @@ class Element1:
         for (s, t), c in self.fpart.items():
             yield ("e", s, t), c
 
-    def support_vector(self) -> dict[Atom, Fraction]:
+    def support_vector(self) -> dict[Atom, Scalar]:
         return dict(self.atoms())
 
     # -- linear operations -------------------------------------------------
@@ -140,7 +140,7 @@ class Element1:
                 g.pop(i, None)
         f = dict(self.fpart)
         for k, c in other.fpart.items():
-            d = f.get(k, Fraction(0)) + c
+            d = f.get(k, 0) + c
             if d:
                 f[k] = d
             else:
@@ -150,7 +150,7 @@ class Element1:
         return out
 
     def scale(self, c: Scalar) -> "Element1":
-        c = Fraction(c)
+        c = hpoly.exact(c)
         if not c:
             return Element1()
         out = Element1.__new__(Element1)
@@ -181,18 +181,18 @@ class Element1:
             return self.scale(other)
         if not isinstance(other, Element1):
             return NotImplemented
-        g: dict[int, dict[int, Fraction]] = {}
-        f: dict[Tuple[int, int], Fraction] = {}
+        g: dict[int, dict[int, Scalar]] = {}
+        f: dict[Tuple[int, int], Scalar] = {}
 
         def add_poly(deg: int, p: hpoly.HPoly) -> None:
             acc = g.setdefault(deg, {})
             for t, c in enumerate(p):
                 if c:
-                    acc[t] = acc.get(t, Fraction(0)) + c
+                    acc[t] = acc.get(t, 0) + c
 
-        def add_e(key: Tuple[int, int], c: Fraction) -> None:
+        def add_e(key: Tuple[int, int], c: Scalar) -> None:
             if c:
-                f[key] = f.get(key, Fraction(0)) + c
+                f[key] = f.get(key, 0) + c
 
         for i, p in self.graded.items():
             for j, q in other.graded.items():
@@ -220,7 +220,7 @@ class Element1:
         out.graded = {}
         for deg, acc in g.items():
             if acc:
-                p = hpoly.trim([acc.get(t, 0) for t in range(max(acc) + 1)])
+                p = hpoly.strip([acc.get(t, 0) for t in range(max(acc) + 1)])
                 if p:
                     out.graded[deg] = p
         out.fpart = {k: c for k, c in f.items() if c}
@@ -274,7 +274,7 @@ class Element1:
                 res = atom_apply_power(atom, s)
                 if res is not None:
                     coeff, r = res
-                    val = out.get(r, Fraction(0)) + c * Fraction(cp) * coeff
+                    val = out.get(r, Fraction(0)) + c * hpoly.exact(cp) * coeff
                     if val:
                         out[r] = val
                     else:
@@ -285,19 +285,19 @@ class Element1:
 
     def project_b1(self) -> "B1Element":
         """Image in the skew Laurent algebra Q[H][d, d^-1]; the e-span is the kernel."""
-        terms: dict[Tuple[int, int], Fraction] = {}
+        terms: dict[Tuple[int, int], Scalar] = {}
         for i, p in self.graded.items():
             # v_i b(H) maps to d^{-i} b(H) = b(H-i) d^{-i}
             q = hpoly.shift(p, -i)
             for t, c in enumerate(q):
                 if c:
-                    terms[(-i, t)] = terms.get((-i, t), Fraction(0)) + c
+                    terms[(-i, t)] = terms.get((-i, t), 0) + c
         return B1Element(terms)
 
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
-        terms: list[Tuple[Fraction, str]] = []
+        terms: list[Tuple[Scalar, str]] = []
         for i in sorted(self.graded):
             p = self.graded[i]
             for t, c in enumerate(p):
@@ -321,7 +321,7 @@ def _graded_atom_str(i: int, t: int, suffix: str = "") -> str:
     return "*".join(parts)
 
 
-def format_terms(terms: list[Tuple[Fraction, str]]) -> str:
+def format_terms(terms: list[Tuple[Scalar, str]]) -> str:
     """Render a list of (coefficient, atom string) pairs; empty atom means a scalar."""
     if not terms:
         return "0"
@@ -343,15 +343,15 @@ def format_terms(terms: list[Tuple[Fraction, str]]) -> str:
 
 def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> Element1:
     """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates."""
-    g: dict[int, dict[int, Fraction]] = {}
-    f: dict[Tuple[int, int], Fraction] = {}
+    g: dict[int, dict[int, Scalar]] = {}
+    f: dict[Tuple[int, int], Scalar] = {}
     for (tag, a, b), c in pairs:
-        c = Fraction(c)
+        c = hpoly.exact(c)
         if tag == "v":
             acc = g.setdefault(a, {})
-            acc[b] = acc.get(b, Fraction(0)) + c
+            acc[b] = acc.get(b, 0) + c
         else:
-            f[(a, b)] = f.get((a, b), Fraction(0)) + c
+            f[(a, b)] = f.get((a, b), 0) + c
     graded = {
         i: [acc.get(t, 0) for t in range(max(acc) + 1)] for i, acc in g.items() if acc
     }
@@ -375,10 +375,10 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
     if ltag == "v" and rtag == "v":
         i, s, j, t = la, lb, ra, rb
         # v_i H^s v_j H^t = v_i v_j (H+j)^s H^t
-        r = hpoly.shift(tuple(Fraction(0) for _ in range(s)) + (Fraction(1),), j)
-        r = hpoly.mul(r, tuple(Fraction(0) for _ in range(t)) + (Fraction(1),))
+        r = hpoly.shift((0,) * s + (1,), j)
+        r = hpoly.mul(r, (0,) * t + (1,))
         g = {i + j: r}
-        f: dict[Tuple[int, int], Fraction] = {}
+        f: dict[Tuple[int, int], Scalar] = {}
         if i > 0 and j < 0:
             a, m = i, -j
             ks, ts = max(a - m, 0), max(m - a, 0)
@@ -391,13 +391,13 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
         i, s, u, v = la, lb, ra, rb
         if u + i < 0:
             return Element1()
-        return Element1(fpart={(u + i, v): Fraction(u + 1) ** s})
+        return Element1(fpart={(u + i, v): (u + 1) ** s})
     if rtag == "v":
         u, v, j, t = la, lb, ra, rb
         vv = v - j
         if vv < 0:
             return Element1()
-        return Element1(fpart={(u, vv): Fraction(vv + 1) ** t})
+        return Element1(fpart={(u, vv): (vv + 1) ** t})
     u, v, w, z = la, lb, ra, rb
     if v != w:
         return Element1()
@@ -436,10 +436,10 @@ class B1Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Tuple[int, int], Scalar]] = None):
-        out: dict[Tuple[int, int], Fraction] = {}
+        out: dict[Tuple[int, int], Scalar] = {}
         if terms:
             for (k, t), c in terms.items():
-                c = Fraction(c)
+                c = hpoly.exact(c)
                 if c:
                     out[(int(k), int(t))] = c
         self.terms = out
@@ -465,7 +465,7 @@ class B1Element:
     def __add__(self, other: "B1Element") -> "B1Element":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            d = out.get(k, Fraction(0)) + c
+            d = out.get(k, 0) + c
             if d:
                 out[k] = d
             else:
@@ -475,7 +475,7 @@ class B1Element:
         return res
 
     def scale(self, c: Scalar) -> "B1Element":
-        c = Fraction(c)
+        c = hpoly.exact(c)
         res = B1Element.__new__(B1Element)
         res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
         return res
@@ -494,18 +494,15 @@ class B1Element:
     def __mul__(self, other: "B1Element") -> "B1Element":
         if not isinstance(other, B1Element):
             return NotImplemented
-        out: dict[Tuple[int, int], Fraction] = {}
+        out: dict[Tuple[int, int], Scalar] = {}
         for (k, t), c in self.terms.items():
             for (l, u), d in other.terms.items():
                 # H^t d^k H^u d^l = H^t (H+k)^u d^{k+l}
-                p = hpoly.mul(
-                    tuple(Fraction(0) for _ in range(t)) + (Fraction(1),),
-                    hpoly.shift(tuple(Fraction(0) for _ in range(u)) + (Fraction(1),), k),
-                )
+                p = hpoly.mul((0,) * t + (1,), hpoly.shift((0,) * u + (1,), k))
                 for m, a in enumerate(p):
                     if a:
                         key = (k + l, m)
-                        val = out.get(key, Fraction(0)) + c * d * a
+                        val = out.get(key, 0) + c * d * a
                         if val:
                             out[key] = val
                         else:
@@ -515,7 +512,7 @@ class B1Element:
         return res
 
     def __str__(self) -> str:
-        terms: list[Tuple[Fraction, str]] = []
+        terms: list[Tuple[Scalar, str]] = []
         for (k, t) in sorted(self.terms):
             parts = []
             if t > 0:

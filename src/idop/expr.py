@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .element import Element1
+from .hpoly import Scalar
 from .tensor import BnElement, ElementN, lift, to_element1
 from .oracle import TruncMatrix
 
@@ -307,7 +308,7 @@ def format_poly(p: dict, n: int) -> str:
 # -- JSON encoders -------------------------------------------------------------
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: Scalar) -> str:
     return str(c)
 
 

@@ -19,11 +19,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .element import Atom, Element1
+from .hpoly import exact
 from .tensor import ElementN
 
 Scalar = Union[int, Fraction]
-
-_F0 = Fraction(0)
 
 
 class TruncMatrix:
@@ -42,11 +41,11 @@ class TruncMatrix:
         self.rank = rank
         dim = size**rank
         if entries is None:
-            self.entries = [[_F0] * dim for _ in range(dim)]
+            self.entries = [[0] * dim for _ in range(dim)]
         else:
             if len(entries) != dim or any(len(row) != dim for row in entries):
                 raise ValueError(f"entries must be {dim}x{dim}")
-            self.entries = [[Fraction(c) for c in row] for row in entries]
+            self.entries = [[exact(c) for c in row] for row in entries]
 
     @property
     def dim(self) -> int:
@@ -74,7 +73,7 @@ class TruncMatrix:
         return out
 
     def scale(self, c: Scalar) -> "TruncMatrix":
-        c = Fraction(c)
+        c = exact(c)
         out = TruncMatrix(self.size, self.rank)
         for r in range(self.dim):
             out.entries[r] = [c * v for v in self.entries[r]]
@@ -113,7 +112,7 @@ class TruncMatrix:
                 out.entries[c][r] = self.entries[r][c]
         return out
 
-    def column(self, s: int) -> list[Fraction]:
+    def column(self, s: int) -> list[Scalar]:
         return [self.entries[r][s] for r in range(self.dim)]
 
     def __repr__(self) -> str:
@@ -121,7 +120,7 @@ class TruncMatrix:
         return "\n".join(rows)
 
 
-def _divided_atom_action(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
+def _divided_atom_action(atom: Atom, s: int) -> Optional[Tuple[int, int]]:
     # x^[s] -> x^[s-1] under d (0 at s=0), x^[s+1] under I, (s+1)x^[s] under H.
     tag, a, b = atom
     if tag == "v":
@@ -129,14 +128,14 @@ def _divided_atom_action(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
         row = s + i
         if row < 0:
             return None
-        return (Fraction(s + 1) ** t, row)
+        return ((s + 1) ** t, row)
     # e-unit via its definition: I^u d^v - I^{u+1} d^{v+1}; both terms land on
     # the same row with coefficient 1, so only the s == v column survives.
     u, v = a, b
     total = (1 if s >= v else 0) - (1 if s >= v + 1 else 0)
     if not total:
         return None
-    return (Fraction(total), s - v + u)
+    return (total, s - v + u)
 
 
 def _monomial_atom_action(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
@@ -153,7 +152,7 @@ def _monomial_atom_action(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
         return (c * Fraction(math.factorial(s), math.factorial(s - m)), s - m)
     u, v = a, b
     row = s - v + u
-    total = _F0
+    total = 0
     if s >= v:
         total += Fraction(math.factorial(s), math.factorial(row))
     if s >= v + 1:
@@ -190,7 +189,7 @@ def to_matrix_monomial(a: Element1, N: int) -> TruncMatrix:
 def elementary_matrix(i: int, j: int, N: int) -> TruncMatrix:
     mat = TruncMatrix(N)
     if i < N and j < N:
-        mat.entries[i][j] = Fraction(1)
+        mat.entries[i][j] = 1
     return mat
 
 
@@ -329,13 +328,11 @@ class RowReducer:
 
 
 def _integer_row(row: Mapping) -> dict:
-    fr = {k: Fraction(v) for k, v in row.items() if v}
-    if not fr:
-        return {}
-    denom = 1
-    for v in fr.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    out = {k: int(v * denom) for k, v in fr.items()}
+    out = {k: v for k, v in row.items() if v}
+    if not all(type(v) is int for v in out.values()):
+        vals = {k: exact(v) for k, v in out.items()}
+        denom = math.lcm(*(v.denominator for v in vals.values()))
+        out = {k: int(v * denom) for k, v in vals.items()}
     return _strip_content(out)
 
 

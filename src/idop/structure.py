@@ -17,11 +17,11 @@ factors) and the census of realized label tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from . import hpoly
+from .hpoly import Scalar
 from .element import Atom, Element1
 from .oracle import RowReducer
 from .tensor import ElementN
@@ -84,17 +84,17 @@ def in_l_span(e: Element1) -> bool:
     return all(i > 0 and hpoly.degree(b) < i for i, b in e.graded.items())
 
 
-def _atom_label_parts(atom: Atom) -> list[Tuple[Label, Atom, Fraction]]:
+def _atom_label_parts(atom: Atom) -> list[Tuple[Label, Atom, int]]:
     """Classify a single basis atom, expanding across the three subspaces."""
     tag, a, b = atom
     if tag == "e":
-        return [("F", atom, Fraction(1))]
+        return [("F", atom, 1)]
     i, t = a, b
     if i <= 0:
-        return [("A", atom, Fraction(1))]
-    mono = tuple(Fraction(0) for _ in range(t)) + (Fraction(1),)
+        return [("A", atom, 1)]
+    mono = (0,) * t + (1,)
     q, r = hpoly.divmod_monic(mono, hpoly.rising_factorial(i))
-    out: list[Tuple[Label, Atom, Fraction]] = []
+    out: list[Tuple[Label, Atom, int]] = []
     if q:
         prod_poly = hpoly.mul(hpoly.rising_factorial(i), q)
         out.extend(("A", ("v", i, m), c) for m, c in enumerate(prod_poly) if c)
@@ -102,8 +102,8 @@ def _atom_label_parts(atom: Atom) -> list[Tuple[Label, Atom, Fraction]]:
     return out
 
 
-def _label_components(a: ElementN) -> dict[CensusLabel, dict[Tuple[Atom, ...], Fraction]]:
-    comps: dict[CensusLabel, dict[Tuple[Atom, ...], Fraction]] = {}
+def _label_components(a: ElementN) -> dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]]:
+    comps: dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]] = {}
     for key, c in a.terms.items():
         factor_parts = [_atom_label_parts(atom) for atom in key]
         for combo in product(*factor_parts):
@@ -113,7 +113,7 @@ def _label_components(a: ElementN) -> dict[CensusLabel, dict[Tuple[Atom, ...], F
             for _, _, cc in combo:
                 coeff *= cc
             acc = comps.setdefault(labels, {})
-            d = acc.get(atoms, Fraction(0)) + coeff
+            d = acc.get(atoms, 0) + coeff
             if d:
                 acc[atoms] = d
             else:

@@ -37,12 +37,12 @@ class ElementN:
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
         self.n = n
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         if terms:
             for key, c in terms.items():
                 if len(key) != n:
                     raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
-                c = Fraction(c)
+                c = hpoly.exact(c)
                 if c:
                     out[tuple(key)] = c
         self.terms = out
@@ -75,7 +75,7 @@ class ElementN:
         self._require_same_rank(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            d = out.get(k, Fraction(0)) + c
+            d = out.get(k, 0) + c
             if d:
                 out[k] = d
             else:
@@ -85,7 +85,7 @@ class ElementN:
         return res
 
     def scale(self, c: Scalar) -> "ElementN":
-        c = Fraction(c)
+        c = hpoly.exact(c)
         res = ElementN.__new__(ElementN)
         res.n = self.n
         res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
@@ -110,7 +110,7 @@ class ElementN:
         if not isinstance(other, ElementN):
             return NotImplemented
         self._require_same_rank(other)
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 factor_expansions = []
@@ -129,7 +129,7 @@ class ElementN:
                     c = base
                     for _, cc in combo:
                         c *= cc
-                    d = out.get(key, Fraction(0)) + c
+                    d = out.get(key, 0) + c
                     if d:
                         out[key] = d
                     else:
@@ -149,7 +149,7 @@ class ElementN:
     def __str__(self) -> str:
         if self.n == 1:
             return str(to_element1(self))
-        terms: list[Tuple[Fraction, str]] = []
+        terms: list[Tuple[Scalar, str]] = []
         for key in sorted(self.terms, key=lambda k: tuple(atom_sort_key(a) for a in k)):
             parts = []
             for f, atom in enumerate(key, start=1):
@@ -173,7 +173,7 @@ def lift(factor: int, a: Element1, n: int) -> ElementN:
     """Embed a rank-1 operator into the given tensor slot (1-based)."""
     if not 1 <= factor <= n:
         raise ValueError(f"factor index {factor} out of range 1..{n}")
-    terms: dict[Key, Fraction] = {}
+    terms: dict[Key, Scalar] = {}
     for atom, c in a.atoms():
         key = tuple(atom if k == factor else ATOM_ONE for k in range(1, n + 1))
         terms[key] = c
@@ -205,7 +205,7 @@ def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int,
         for exps, cp in p.items():
             if len(exps) != a.n:
                 raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
-            coeff = c * Fraction(cp)
+            coeff = c * hpoly.exact(cp)
             new_exps = []
             dead = False
             for atom, s in zip(key, exps):
@@ -241,12 +241,12 @@ class BnElement:
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
         self.n = n
-        out: dict[Tuple[Tuple[int, int], ...], Fraction] = {}
+        out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
         if terms:
             for key, c in terms.items():
                 if len(key) != n:
                     raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
-                c = Fraction(c)
+                c = hpoly.exact(c)
                 if c:
                     out[tuple((int(k), int(t)) for k, t in key)] = c
         self.terms = out
@@ -274,7 +274,7 @@ class BnElement:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            d = out.get(k, Fraction(0)) + c
+            d = out.get(k, 0) + c
             if d:
                 out[k] = d
             else:
@@ -284,7 +284,7 @@ class BnElement:
         return res
 
     def scale(self, c: Scalar) -> "BnElement":
-        c = Fraction(c)
+        c = hpoly.exact(c)
         res = BnElement.__new__(BnElement)
         res.n = self.n
         res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
@@ -306,18 +306,13 @@ class BnElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
-        out: dict[Tuple[Tuple[int, int], ...], Fraction] = {}
+        out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 factor_expansions = []
                 for (k, t), (l, u) in zip(k1, k2):
                     # H^t d^k H^u d^l = H^t (H+k)^u d^{k+l}
-                    p = hpoly.mul(
-                        tuple(Fraction(0) for _ in range(t)) + (Fraction(1),),
-                        hpoly.shift(
-                            tuple(Fraction(0) for _ in range(u)) + (Fraction(1),), k
-                        ),
-                    )
+                    p = hpoly.mul((0,) * t + (1,), hpoly.shift((0,) * u + (1,), k))
                     factor_expansions.append(
                         [((k + l, m), c) for m, c in enumerate(p) if c]
                     )
@@ -327,7 +322,7 @@ class BnElement:
                     c = base
                     for _, cc in combo:
                         c *= cc
-                    d = out.get(key, Fraction(0)) + c
+                    d = out.get(key, 0) + c
                     if d:
                         out[key] = d
                     else:
@@ -337,7 +332,7 @@ class BnElement:
         return res
 
     def __str__(self) -> str:
-        terms: list[Tuple[Fraction, str]] = []
+        terms: list[Tuple[Scalar, str]] = []
         for key in sorted(self.terms):
             parts = []
             for f, (k, t) in enumerate(key, start=1):
@@ -359,21 +354,21 @@ def bn_mul(u: BnElement, v: BnElement) -> BnElement:
 def project_bn(a: ElementN) -> BnElement:
     """Quotient map killing every tensor with an e-unit in any factor,
     applied factor-wise on the rest.  A ring homomorphism."""
-    out: dict[Tuple[Tuple[int, int], ...], Fraction] = {}
+    out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
     for key, c in a.terms.items():
         if any(atom[0] == "e" for atom in key):
             continue
         factor_expansions = []
         for tag, i, t in key:
             # v_i H^t maps to d^{-i} H^t = (H-i)^t d^{-i}
-            p = hpoly.shift(tuple(Fraction(0) for _ in range(t)) + (Fraction(1),), -i)
+            p = hpoly.shift((0,) * t + (1,), -i)
             factor_expansions.append([((-i, m), cc) for m, cc in enumerate(p) if cc])
         for combo in product(*factor_expansions):
             k = tuple(pair for pair, _ in combo)
             cc = c
             for _, c2 in combo:
                 cc *= c2
-            d = out.get(k, Fraction(0)) + cc
+            d = out.get(k, 0) + cc
             if d:
                 out[k] = d
             else:

@@ -173,6 +173,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "kernel", "--samples", "10", "--seed", "3")
         assert code == 0
 
+    def test_nonpositive_samples_is_usage_error(self, capsys):
+        for value in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--suite", "relations", "--samples", value)
+            assert code == 1
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "--samples" in err
+
     def test_failure_exits_two(self, capsys, monkeypatch):
         import idop.verify as verify
 
