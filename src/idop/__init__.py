@@ -9,7 +9,6 @@ from .element import (
     B1Element,
     Element1,
     atom_mul,
-    b1_mul,
     eunit_atom,
     from_atoms,
     graded_atom,
@@ -41,13 +40,9 @@ from .structure import (
 from .tensor import (
     BnElement,
     ElementN,
-    add_n,
     apply_n,
-    bn_mul,
     lift,
-    mul_n,
     project_bn,
-    scale_n,
     to_element1,
 )
 
@@ -66,12 +61,9 @@ __all__ = [
     "RowReducer",
     "SplitTriple",
     "TruncMatrix",
-    "add_n",
     "apply_n",
     "atom_mul",
-    "b1_mul",
     "bimodule_filtration_dims",
-    "bn_mul",
     "census",
     "consistent",
     "eunit_atom",
@@ -80,13 +72,11 @@ __all__ = [
     "graded_atom",
     "kernel_witness_check",
     "lift",
-    "mul_n",
     "multiplicity_report",
     "parse_element",
     "parse_poly",
     "project_bn",
     "q_dims",
-    "scale_n",
     "socle_level",
     "socle_member",
     "split",

@@ -524,6 +524,3 @@ class B1Element:
 
     __repr__ = __str__
 
-
-def b1_mul(u: B1Element, v: B1Element) -> B1Element:
-    return u * v

@@ -13,6 +13,7 @@ Juxtaposition is not multiplication; products need an explicit '*'.  The
 factor index defaults to 1 when the rank is 1 and is required otherwise.
 Polynomials for the `apply` command use the variables x1..xn (bare `x` is
 accepted at rank 1) with the same '+', '-', '*', '^' operators.
+Parentheses nest at most MAX_NESTING (100) levels deep.
 """
 
 from __future__ import annotations
@@ -100,14 +101,19 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parse trees ---------------------------------------------------------------
 
 # Nodes: ("num", Fraction), ("gen", name, index, pos), ("eunit", s, t, index, pos),
-#        ("neg", x), ("add", l, r), ("sub", l, r), ("mul", l, r), ("pow", base, k)
+#        ("sum", ((sign, term), ...)), ("prod", (factor, ...)), ("pow", base, k).
+# Sums and products are n-ary and evaluated left to right, so a long flat input
+# never builds a deep tree; only parentheses nest, up to MAX_NESTING levels.
 Node = tuple
+
+MAX_NESTING = 100  # parenthesis depth; keeps parsing and evaluation off the recursion limit
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -131,24 +137,25 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        negate = False
+        sign = 1
         if self.peek().kind in "+-":
-            negate = self.next().kind == "-"
-        node = self.term()
-        if negate:
-            node = ("neg", node)
+            sign = -1 if self.next().kind == "-" else 1
+        terms = [(sign, self.term())]
         while self.peek().kind in "+-":
-            op = self.next().kind
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            sign = -1 if self.next().kind == "-" else 1
+            terms.append((sign, self.term()))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return ("sum", tuple(terms))
 
     def term(self) -> Node:
-        node = self.pow()
+        factors = [self.pow()]
         while self.peek().kind == "*":
             self.next()
-            node = ("mul", node, self.pow())
-        return node
+            factors.append(self.pow())
+        if len(factors) == 1:
+            return factors[0]
+        return ("prod", tuple(factors))
 
     def pow(self) -> Node:
         node = self.atom()
@@ -171,9 +178,15 @@ class _Parser:
                 value /= den.value
             return ("num", value)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.pos
+                )
             self.next()
+            self.depth += 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "gen":
             self.next()
@@ -211,14 +224,20 @@ def _eval_element(node: Node, n: int) -> ElementN:
     if kind == "eunit":
         _, s, t, index, pos = node
         return lift(_resolve_index(index, n, pos), Element1(fpart={(s, t): 1}), n)
-    if kind == "neg":
-        return -_eval_element(node[1], n)
-    if kind == "add":
-        return _eval_element(node[1], n) + _eval_element(node[2], n)
-    if kind == "sub":
-        return _eval_element(node[1], n) - _eval_element(node[2], n)
-    if kind == "mul":
-        return _eval_element(node[1], n) * _eval_element(node[2], n)
+    if kind == "sum":
+        (sign, first), *rest = node[1]
+        acc = _eval_element(first, n)
+        if sign < 0:
+            acc = -acc
+        for sign, term in rest:
+            acc = acc + _eval_element(term, n) if sign > 0 else acc - _eval_element(term, n)
+        return acc
+    if kind == "prod":
+        first, *rest = node[1]
+        acc = _eval_element(first, n)
+        for factor in rest:
+            acc = acc * _eval_element(factor, n)
+        return acc
     if kind == "pow":
         return _eval_element(node[1], n).power(node[2])
     raise AssertionError(f"unhandled node {kind}")
@@ -227,6 +246,19 @@ def _eval_element(node: Node, n: int) -> ElementN:
 def parse_element(text: str, n: int = 1) -> ElementN:
     """Parse an operator expression at the given tensor rank."""
     return _eval_element(_Parser(_tokenize(text)).parse(), n)
+
+
+def _poly_mul(lhs: dict, rhs: dict) -> dict[tuple, Fraction]:
+    out: dict[tuple, Fraction] = {}
+    for k1, c1 in lhs.items():
+        for k2, c2 in rhs.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            d = out.get(key, Fraction(0)) + c1 * c2
+            if d:
+                out[key] = d
+            else:
+                out.pop(key, None)
+    return out
 
 
 def _eval_poly(node: Node, n: int) -> dict[tuple, Fraction]:
@@ -242,45 +274,27 @@ def _eval_poly(node: Node, n: int) -> dict[tuple, Fraction]:
         return {exps: Fraction(1)}
     if kind == "eunit":
         raise ExprSyntaxError("e-units are not allowed in polynomials", node[4])
-    if kind == "neg":
-        return {k: -c for k, c in _eval_poly(node[1], n).items()}
-    if kind in ("add", "sub"):
-        out = dict(_eval_poly(node[1], n))
-        sign = 1 if kind == "add" else -1
-        for k, c in _eval_poly(node[2], n).items():
-            d = out.get(k, Fraction(0)) + sign * c
-            if d:
-                out[k] = d
-            else:
-                out.pop(k, None)
-        return out
-    if kind == "mul":
-        lhs = _eval_poly(node[1], n)
-        rhs = _eval_poly(node[2], n)
+    if kind == "sum":
         out: dict[tuple, Fraction] = {}
-        for k1, c1 in lhs.items():
-            for k2, c2 in rhs.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                d = out.get(key, Fraction(0)) + c1 * c2
+        for sign, term in node[1]:
+            for k, c in _eval_poly(term, n).items():
+                d = out.get(k, Fraction(0)) + sign * c
                 if d:
-                    out[key] = d
+                    out[k] = d
                 else:
-                    out.pop(key, None)
+                    out.pop(k, None)
+        return out
+    if kind == "prod":
+        first, *rest = node[1]
+        out = _eval_poly(first, n)
+        for factor in rest:
+            out = _poly_mul(out, _eval_poly(factor, n))
         return out
     if kind == "pow":
         base = _eval_poly(node[1], n)
         out = {(0,) * n: Fraction(1)}
         for _ in range(node[2]):
-            nxt: dict[tuple, Fraction] = {}
-            for k1, c1 in out.items():
-                for k2, c2 in base.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    d = nxt.get(key, Fraction(0)) + c1 * c2
-                    if d:
-                        nxt[key] = d
-                    else:
-                        nxt.pop(key, None)
-            out = nxt
+            out = _poly_mul(out, base)
         return out
     raise AssertionError(f"unhandled node {kind}")
 

@@ -282,49 +282,57 @@ def consistent(a, b, N: int) -> bool:
 
 
 class RowReducer:
-    """Incremental fraction-free row reduction over the rationals.
+    """Incremental fraction-free row echelon form over the rationals.
 
-    Rows are cleared to integer vectors, cross-multiplied against stored pivot
-    rows (never dividing), and stripped of content, so every intermediate value
-    is an exact integer.  Insertion order does not affect the final rank.
+    Each stored row is an integer vector with content 1, filed under its
+    leading (smallest) key, and no two stored rows share a leading key.  A new
+    row is cleared to integers and then, while its leading key belongs to a
+    stored row, cross-multiplied against that one row by the two leading
+    entries divided by their gcd (never dividing a row) and stripped of
+    content; it is stored once it leads with a fresh key, or dropped when it
+    vanishes.  Stored rows are not reduced against each other below their
+    leading keys: the echelon form is enough for the rank, and every
+    intermediate value stays an exact integer.  Insertion order does not
+    affect the final rank.
     """
 
-    __slots__ = ("_pivot_keys", "_rows")
+    __slots__ = ("_pivots",)
 
     def __init__(self):
-        self._pivot_keys: list = []
-        self._rows: list[dict] = []
+        self._pivots: dict = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
+
+    @property
+    def _rows(self):
+        """The stored rows, read-only; tracing reads their entry widths."""
+        return self._pivots.values()
 
     def add(self, row: Mapping) -> bool:
         """Reduce a sparse rational row; returns True if it enlarged the row space."""
         r = _integer_row(row)
-        if not r:
-            return False
-        for pk, prow in zip(self._pivot_keys, self._rows):
-            c = r.get(pk)
-            if c:
-                p = prow[pk]
+        pivots = self._pivots
+        while r:
+            pk = min(r)
+            prow = pivots.get(pk)
+            if prow is None:
+                pivots[pk] = r
+                return True
+            c, p = r[pk], prow[pk]
+            g = math.gcd(c, p) if p > 0 else -math.gcd(c, p)
+            c, p = c // g, p // g  # p > 0, and on filtration rows almost always 1
+            if p != 1:
                 r = {k: v * p for k, v in r.items()}
-                for k, v in prow.items():
-                    d = r.get(k, 0) - c * v
-                    if d:
-                        r[k] = d
-                    else:
-                        r.pop(k, None)
-                r = _strip_content(r)
-        if not r:
-            return False
-        pk = min(r)
-        idx = 0
-        while idx < len(self._pivot_keys) and self._pivot_keys[idx] < pk:
-            idx += 1
-        self._pivot_keys.insert(idx, pk)
-        self._rows.insert(idx, r)
-        return True
+            for k, v in prow.items():
+                d = r.get(k, 0) - c * v
+                if d:
+                    r[k] = d
+                else:
+                    r.pop(k, None)
+            r = _strip_content(r)
+        return False
 
 
 def _integer_row(row: Mapping) -> dict:

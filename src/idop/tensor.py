@@ -186,18 +186,6 @@ def to_element1(a: ElementN) -> Element1:
     return from_atoms(((key[0], c) for key, c in a.terms.items()))
 
 
-def mul_n(a: ElementN, b: ElementN) -> ElementN:
-    return a * b
-
-
-def add_n(a: ElementN, b: ElementN) -> ElementN:
-    return a + b
-
-
-def scale_n(c: Scalar, a: ElementN) -> ElementN:
-    return a.scale(c)
-
-
 def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int, ...], Fraction]:
     """Act on a polynomial in x_1..x_n given as a sparse exponent-vector map."""
     out: dict[Tuple[int, ...], Fraction] = {}
@@ -345,10 +333,6 @@ class BnElement:
         return format_terms(terms)
 
     __repr__ = __str__
-
-
-def bn_mul(u: BnElement, v: BnElement) -> BnElement:
-    return u * v
 
 
 def project_bn(a: ElementN) -> BnElement:

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior, including exit codes and the JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from idop.cli import main
@@ -46,6 +49,18 @@ class TestNorm:
         code, _, err = run(capsys, "norm", "--n", "2", "x_5")
         assert code == 1
         assert "out of range" in err
+
+    def test_long_flat_sum(self, capsys):
+        code, out, _ = run(capsys, "norm", "+".join(["x"] * 1500))
+        assert code == 0
+        assert out == "1500*I*H\n"
+
+    def test_deep_nesting_is_syntax_error(self, capsys):
+        code, out, err = run(capsys, "norm", "(" * 1200 + "x" + ")" * 1200)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestApply:
@@ -202,3 +217,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "idop", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: idop")

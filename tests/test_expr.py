@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from idop.element import Element1
 from idop.expr import (
+    MAX_NESTING,
     ExprSyntaxError,
     parse_element,
     parse_poly,
@@ -78,6 +79,17 @@ class TestParseElement:
         with pytest.raises(ExprSyntaxError):
             parse_element("1/0", 1)
 
+    def test_nesting_budget(self):
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_element(deep, 1) == parse_element("x", 1)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_element("I*(" + deep + ")", 1)
+        assert exc.value.pos == 2 + MAX_NESTING
+
+    def test_long_flat_input(self):
+        assert parse_element("-" + "+".join(["d*I"] * 2000), 1) == ElementN.one(1).scale(1998)
+        assert parse_element("*".join(["d*I"] * 2000), 1) == ElementN.one(1)
+
 
 class TestRoundTrip:
     @given(elements1())
@@ -100,6 +112,9 @@ class TestParsePoly:
             (1, 2): Fraction(1),
             (0, 0): Fraction(-1, 2),
         }
+
+    def test_long_flat_sum(self):
+        assert parse_poly(" - ".join(["x"] * 2000), 1) == {(1,): Fraction(-1998)}
 
     def test_bare_x_at_rank1(self):
         assert parse_poly("x", 1) == {(1,): Fraction(1)}

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idop.element import Element1
 from idop.oracle import (
@@ -19,7 +19,7 @@ from idop.oracle import (
     up,
 )
 from idop.tensor import apply_n, lift
-from conftest import elements1, elements_n
+from conftest import atoms, elements1, elements_n
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -28,6 +28,13 @@ H = Element1.from_generator("H")
 
 def e(s, t):
     return Element1(fpart={(s, t): 1})
+
+
+def atom_rows():
+    """Sparse atom-keyed rows: support vectors of products, and short rows of fractions."""
+    products = st.tuples(elements1(), elements1()).map(lambda ab: (ab[0] * ab[1]).support_vector())
+    fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    return st.lists(st.one_of(products, st.dictionaries(atoms, fractions, max_size=3)), max_size=8)
 
 
 class TestToMatrix:
@@ -210,3 +217,31 @@ class TestExactRank:
             ]
             want = sympy.Matrix(nrows, ncols, [sympy.Rational(c) for r in rows for c in r]).rank()
             assert exact_rank(rows) == want
+
+    @given(atom_rows(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_atom_rows_match_sympy(self, rows, rng):
+        sympy = pytest.importorskip("sympy")
+        if len(rows) >= 2:  # a dependent row, so rejection is exercised too
+            keys = set(rows[0]) | set(rows[1])
+            rows.append({k: rows[0].get(k, 0) - Fraction(3, 2) * rows[1].get(k, 0) for k in keys})
+        rng.shuffle(rows)
+        keys = sorted({k for row in rows for k in row})
+        want = 0
+        if keys:
+            entries = [sympy.Rational(row.get(k, 0)) for row in rows for k in keys]
+            want = sympy.Matrix(len(rows), len(keys), entries).rank()
+        assert exact_rank(rows) == want
+
+    @given(atom_rows())
+    @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])  # elimination leaves content 2
+    @settings(max_examples=40, deadline=None)
+    def test_stored_rows_are_echelon(self, rows):
+        red = RowReducer()
+        for row in rows:
+            red.add(row)
+        for lead, row in red._pivots.items():
+            assert all(type(v) is int for v in row.values())
+            assert min(row) == lead
+            assert math.gcd(*row.values()) == 1
+        assert red.rank == len(list(red._rows))

@@ -1,6 +1,7 @@
 """The A/F/L split, socle classification, census, kernel witness and the
 exact dimension engine."""
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from idop.structure import (
     split,
 )
 from idop.tensor import ElementN, lift
+from idop.verify import FILTRATION_DIMS_ONE_I
 from conftest import elements1
 
 D = Element1.from_generator("d")
@@ -165,10 +167,12 @@ class TestFiltrationDims:
         assert dims == [(i + 1) * (i + 2) // 2 for i in range(7)]
 
     def test_monotone_and_order_invariant(self):
-        a = bimodule_filtration_dims([Element1.one(), I], 5)
-        b = bimodule_filtration_dims([I, Element1.one()], 5)
-        assert a == b
-        assert all(a[i] <= a[i + 1] for i in range(len(a) - 1))
+        # every order and sign of {1, I} spans the same filtration
+        want = FILTRATION_DIMS_ONE_I[:9]
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            for gens in itertools.permutations([Element1.one().scale(s1), I.scale(s2)]):
+                assert bimodule_filtration_dims(list(gens), 8) == want
+        assert all(want[i] <= want[i + 1] for i in range(len(want) - 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
