@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         raise _CliError(message)
 
+    def _parse_optional(self, arg_string):
+        # A single-dash token that names no option, such as "-x-d", is an
+        # expression with a leading minus sign, not an unknown option.  An
+        # unknown option comes back with action None; newer Pythons return a
+        # list of such candidates instead of one.
+        option = super()._parse_optional(arg_string)
+        if option is None or arg_string.startswith("--"):
+            return option
+        tuples = option if isinstance(option, list) else [option]
+        return None if all(t[0] is None for t in tuples) else option
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -56,7 +67,7 @@ def _positive_int(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=1, help="tensor rank (default 1)")
+    common.add_argument("--n", type=_positive_int, default=1, help="tensor rank (default 1)")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output encoding"
     )

@@ -16,6 +16,7 @@ operators.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -32,16 +33,55 @@ ATOM_ONE: Atom = ("v", 0, 0)
 _EUNIT_NAME = re.compile(r"^e\((\d+)\s*,\s*(\d+)\)$")
 
 
+def _index(v: object, what: str) -> int:
+    """An integer index entering the engine; floats and other types raise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {type(v).__name__} {v!r}") from None
+
+
 def graded_atom(i: int, t: int) -> Atom:
+    i, t = _index(i, "grade"), _index(t, "H-power")
     if t < 0:
         raise ValueError(f"H-power must be nonnegative, got {t}")
     return ("v", i, t)
 
 
 def eunit_atom(s: int, t: int) -> Atom:
+    s, t = _index(s, "e-unit index"), _index(t, "e-unit index")
     if s < 0 or t < 0:
         raise ValueError(f"e-unit indices must be nonnegative, got ({s},{t})")
     return ("e", s, t)
+
+
+def _check_atom(atom: object) -> Atom:
+    if not isinstance(atom, tuple) or len(atom) != 3:
+        raise TypeError(f"an atom must be a (tag, int, int) tuple, got {atom!r}")
+    tag, a, b = atom
+    if tag == "v":
+        return graded_atom(a, b)
+    if tag == "e":
+        return eunit_atom(a, b)
+    raise ValueError(f"unknown atom tag {tag!r}, expected 'v' or 'e'")
+
+
+def check_key(atoms: Iterable[object]) -> Tuple[Atom, ...]:
+    """Validate basis atoms given from outside: each is ("v", i, t >= 0) or
+    ("e", s >= 0, t >= 0) with integer indices.
+
+    Plain-int atoms, the common case, pass an inline test without a call per
+    atom; otherwise every atom is normalized to int or rejected with a
+    one-line TypeError or ValueError."""
+    key = tuple(atoms)
+    for atom in key:
+        if type(atom) is tuple and len(atom) == 3:
+            tag, a, b = atom
+            if type(a) is int and type(b) is int and b >= 0:
+                if tag == "v" or (tag == "e" and a >= 0):
+                    continue
+        return tuple(map(_check_atom, key))
+    return key
 
 
 def atom_sort_key(atom: Atom) -> Tuple[int, int, int]:
@@ -62,14 +102,16 @@ class Element1:
         g: dict[int, hpoly.HPoly] = {}
         if graded:
             for i, p in graded.items():
+                if type(i) is not int:
+                    i = _index(i, "grade")
                 p = hpoly.trim(p)
                 if p:
-                    g[int(i)] = p
+                    g[i] = p
         f: dict[Tuple[int, int], Scalar] = {}
         if fpart:
             for (s, t), c in fpart.items():
-                if s < 0 or t < 0:
-                    raise ValueError(f"e-unit indices must be nonnegative, got ({s},{t})")
+                if type(s) is not int or type(t) is not int or s < 0 or t < 0:
+                    s, t = eunit_atom(s, t)[1:]
                 c = hpoly.exact(c)
                 if c:
                     f[(s, t)] = c

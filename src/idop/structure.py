@@ -170,10 +170,16 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
 
 
 def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list[int]:
-    """Dimensions of V_i = span{x^a d^b g x^c d^d : g in generators, a+b+c+d <= i}.
+    """Dimensions of V_i = span{x^a d^b g x^c d^e : g in generators, a+b+c+e <= i}.
 
-    Every spanning product is expanded to canonical form and the dimension is
-    an exact rational rank over the union of support atoms.  The result is
+    Computed by the recurrence V_0 = span(generators) and
+    V_i = V_{i-1} + x V_{i-1} + d V_{i-1} + V_{i-1} x + V_{i-1} d.  It holds
+    because a word of degree i is x w, d w, w x or w d for a word w of degree
+    i-1, while d x^a d^b = x^a d^{b+1} + a x^{a-1} d^b and
+    x^c d^e x = x^{c+1} d^e + e x^c d^{e-1} keep every side product of a word
+    in the next level.  As {x, d} V_{i-2} lies in V_{i-1}, only the elements
+    whose rows were kept at level i-1 are multiplied.  Each dimension is an
+    exact rational rank over the union of support atoms; the result is
     nondecreasing and independent of generator order.
     """
     if not generators:
@@ -188,30 +194,12 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
         )
     x = Element1.from_generator("x")
     d = Element1.from_generator("d")
-    xpow = [Element1.one()]
-    dpow = [Element1.one()]
-    for _ in range(i_max):
-        xpow.append(xpow[-1] * x)
-        dpow.append(dpow[-1] * d)
-    words: dict[Tuple[int, int], Element1] = {}
-    for a in range(i_max + 1):
-        for b in range(i_max + 1 - a):
-            words[(a, b)] = xpow[a] * dpow[b]
-    left_g: dict[Tuple[int, int, int], Element1] = {}
     red = RowReducer()
-    dims = []
-    for i in range(i_max + 1):
-        for a in range(i + 1):
-            for b in range(i + 1 - a):
-                for gi, g in enumerate(generators):
-                    key = (a, b, gi)
-                    if key not in left_g:
-                        left_g[key] = words[(a, b)] * g
-                    lg = left_g[key]
-                    rest = i - a - b
-                    for c in range(rest + 1):
-                        dd = rest - c
-                        red.add((lg * words[(c, dd)]).support_vector())
+    fresh = [g for g in generators if red.add(g.support_vector())]
+    dims = [red.rank]
+    for _ in range(i_max):
+        candidates = (c for b in fresh for c in (x * b, d * b, b * x, b * d))
+        fresh = [c for c in candidates if red.add(c.support_vector())]
         dims.append(red.rank)
     return dims
 

@@ -19,6 +19,7 @@ from .element import (
     atom_apply_power,
     atom_mul,
     atom_sort_key,
+    check_key,
     format_terms,
     from_atoms,
     _graded_atom_str,
@@ -42,9 +43,10 @@ class ElementN:
             for key, c in terms.items():
                 if len(key) != n:
                     raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
+                key = check_key(key)
                 c = hpoly.exact(c)
                 if c:
-                    out[tuple(key)] = c
+                    out[key] = c
         self.terms = out
 
     @staticmethod

@@ -55,6 +55,23 @@ class TestNorm:
         assert code == 0
         assert out == "1500*I*H\n"
 
+    def test_leading_minus_is_an_expression(self, capsys):
+        code, out, _ = run(capsys, "norm", "-x-d")
+        assert (code, out) == (0, "-d - I*H\n")
+        assert run(capsys, "norm", "--", "-x-d") == (0, out, "")
+
+    def test_help_still_wins(self, capsys):
+        code, out, _ = run(capsys, "norm", "-h")
+        assert code == 0
+        assert out.startswith("usage: idop norm")
+
+    def test_rank_must_be_positive(self, capsys):
+        for value in ("0", "-2"):
+            code, out, err = run(capsys, "norm", "(x+d)^3", "--n", value)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: argument --n: expected a positive integer, got {value}\n"
+
     def test_deep_nesting_is_syntax_error(self, capsys):
         code, out, err = run(capsys, "norm", "(" * 1200 + "x" + ")" * 1200)
         assert code == 1
@@ -169,6 +186,11 @@ class TestDims:
         assert code == 0
         # the two spans meet trivially, so the dimensions add up
         assert out.splitlines()[0] == "dims: 2 6 12 20"
+
+    def test_generator_with_leading_minus(self, capsys):
+        minus = run(capsys, "dims", "--gen", "-x", "--max", "3")
+        assert minus[0] == 0
+        assert minus == run(capsys, "dims", "--gen", "x", "--max", "3")
 
 
 class TestVerify:

@@ -244,6 +244,21 @@ class TestCanonicalForm:
             a, b = random_element1(rng), random_element1(rng)
             assert consistent(a, b, 24)
 
+    @pytest.mark.parametrize(
+        "graded, fpart, error",
+        [
+            ({1.7: [1]}, None, TypeError),  # would truncate the grade to 1
+            ({Fraction(1): [1]}, None, TypeError),
+            (None, {(1.5, 0): 1}, TypeError),
+            (None, {(0, "1"): 1}, TypeError),
+            (None, {(-1, 0): 1}, ValueError),
+        ],
+    )
+    def test_constructor_rejects_invalid_indices(self, graded, fpart, error):
+        with pytest.raises(error) as info:
+            Element1(graded, fpart)
+        assert "\n" not in str(info.value)
+
 
 class TestPrinting:
     def test_canonical_order(self):

@@ -5,10 +5,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idop.element import Element1
-from idop.oracle import to_matrix
+from idop.oracle import RowReducer, to_matrix
 from idop.sampling import random_nonzero_element_n, random_weyl_word
 from idop.structure import (
     MultiplicityReport,
@@ -26,7 +27,7 @@ from idop.structure import (
 )
 from idop.tensor import ElementN, lift
 from idop.verify import FILTRATION_DIMS_ONE_I
-from conftest import elements1
+from conftest import coefficients, elements1, nonzero_elements1
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -157,7 +158,65 @@ class TestKernelWitness:
                     assert kernel_witness_check(i, j, k, j)[0]
 
 
+def brute_filtration_dims(generators, i_max):
+    """The filtration by its definition: the rank of every word x^a d^b g x^c d^e
+    with a+b+c+e <= i, one level at a time."""
+    xpow, dpow = [Element1.one()], [Element1.one()]
+    for _ in range(i_max):
+        xpow.append(xpow[-1] * X)
+        dpow.append(dpow[-1] * D)
+    words = [[xpow[a] * dpow[k - a] for a in range(k + 1)] for k in range(i_max + 1)]
+    red = RowReducer()
+    dims = []
+    for i in range(i_max + 1):
+        for j in range(i + 1):
+            for left in words[j]:
+                for g in generators:
+                    lg = left * g
+                    for right in words[i - j]:
+                        red.add((lg * right).support_vector())
+        dims.append(red.rank)
+    return dims
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 nonzero generators; the last may repeat a scaled or summed earlier one."""
+    gens = draw(st.lists(nonzero_elements1(), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        extra = draw(coefficients) * gens[0]
+        if len(gens) == 2:
+            extra = extra + gens[1]
+        if not extra.is_zero():
+            gens.append(extra)
+    return gens
+
+
 class TestFiltrationDims:
+    @given(generator_sets(), st.integers(min_value=0, max_value=6))
+    @example([I, 2 * I], 6)
+    @example([Element1.one(), X, I * H], 6)
+    @example([D.power(2) * H - 3 * E00, I * H.power(2)], 6)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_word_enumeration(self, gens, i_max):
+        assert bimodule_filtration_dims(gens, i_max) == brute_filtration_dims(gens, i_max)
+
+    def test_rows_added_per_level(self, monkeypatch):
+        # only the elements kept at the previous level are extended, by x and d
+        # on both sides: 2 generators + 4 * dim V_15 rows in all
+        calls = 0
+        add = RowReducer.add
+
+        def counting_add(self, row):
+            nonlocal calls
+            calls += 1
+            return add(self, row)
+
+        monkeypatch.setattr(RowReducer, "add", counting_add)
+        dims = bimodule_filtration_dims([Element1.one(), I], 16)
+        assert dims[:15] == FILTRATION_DIMS_ONE_I
+        assert calls == 2 + 4 * dims[15] == 1570
+
     def test_e00_generator(self):
         dims = bimodule_filtration_dims([E00], 6)
         assert dims == [(i + 1) * (i + 2) // 2 for i in range(7)]

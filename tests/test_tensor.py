@@ -43,6 +43,34 @@ class TestLift:
         assert lift(1, a, 2) * lift(2, b, 2) == lift(2, b, 2) * lift(1, a, 2)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "atom, error",
+        [
+            (("v", 0, -1), ValueError),  # negative H-power
+            (("e", -1, 0), ValueError),
+            (("e", 0, -2), ValueError),
+            (("q", 0, 1), ValueError),  # unknown tag
+            (("v", 1.5, 0), TypeError),
+            (("e", 0, Fraction(1)), TypeError),
+            (("v", 0), TypeError),
+            ("v00", TypeError),
+        ],
+    )
+    def test_rejects_invalid_atoms(self, atom, error):
+        with pytest.raises(error) as info:
+            ElementN(2, {(atom, ("v", 0, 0)): 1})
+        assert "\n" not in str(info.value)
+        with pytest.raises(error):  # also when the coefficient is zero
+            ElementN(1, {(atom,): 0})
+
+    def test_accepts_numpy_indices(self):
+        np = pytest.importorskip("numpy")
+        a = ElementN(1, {(("v", np.int64(-2), np.int32(1)),): 1})
+        assert a.terms == {(("v", -2, 1),): 1}
+        assert all(type(v) is int for v in next(iter(a.terms))[0][1:])
+
+
 class TestMul:
     def test_relation_in_one_factor(self):
         assert lift(1, D, 2) * lift(1, I, 2) == ElementN.one(2)
