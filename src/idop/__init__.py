@@ -6,7 +6,6 @@ from fractions import Fraction as Rational
 
 from .element import (
     Atom,
-    B1Element,
     Element1,
     atom_mul,
     eunit_atom,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
-    "B1Element",
     "BnElement",
     "CensusLabel",
     "Element1",

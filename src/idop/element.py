@@ -306,36 +306,6 @@ class Element1:
         out.graded, out.fpart = g, f
         return out
 
-    # -- the polynomial representation ---------------------------------------
-
-    def apply(self, p: Mapping[int, Scalar]) -> dict[int, Fraction]:
-        """Act on a polynomial given as a sparse map exponent -> coefficient."""
-        out: dict[int, Fraction] = {}
-        for atom, c in self.atoms():
-            for s, cp in p.items():
-                res = atom_apply_power(atom, s)
-                if res is not None:
-                    coeff, r = res
-                    val = out.get(r, Fraction(0)) + c * hpoly.exact(cp) * coeff
-                    if val:
-                        out[r] = val
-                    else:
-                        out.pop(r, None)
-        return out
-
-    # -- quotient by the e-span ----------------------------------------------
-
-    def project_b1(self) -> "B1Element":
-        """Image in the skew Laurent algebra Q[H][d, d^-1]; the e-span is the kernel."""
-        terms: dict[Tuple[int, int], Scalar] = {}
-        for i, p in self.graded.items():
-            # v_i b(H) maps to d^{-i} b(H) = b(H-i) d^{-i}
-            q = hpoly.shift(p, -i)
-            for t, c in enumerate(q):
-                if c:
-                    terms[(-i, t)] = terms.get((-i, t), 0) + c
-        return B1Element(terms)
-
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -384,10 +354,13 @@ def format_terms(terms: list[Tuple[Scalar, str]]) -> str:
 
 
 def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> Element1:
-    """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates."""
+    """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates.
+
+    Atoms are validated as in check_key."""
+    pairs = list(pairs)
     g: dict[int, dict[int, Scalar]] = {}
     f: dict[Tuple[int, int], Scalar] = {}
-    for (tag, a, b), c in pairs:
+    for (tag, a, b), (_, c) in zip(check_key(atom for atom, _ in pairs), pairs):
         c = hpoly.exact(c)
         if tag == "v":
             acc = g.setdefault(a, {})
@@ -466,103 +439,4 @@ def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
     if s != v:
         return None
     return (Fraction(math.factorial(v), math.factorial(u)), u)
-
-
-class B1Element:
-    """A skew Laurent polynomial: sparse map (k, t) -> coefficient of H^t d^k.
-
-    Multiplication twists by d^k p(H) = p(H+k) d^k; d^-1 denotes the inverse
-    of d, which exists in the quotient because I d = 1 - e(0,0) dies there.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[Tuple[int, int], Scalar]] = None):
-        out: dict[Tuple[int, int], Scalar] = {}
-        if terms:
-            for (k, t), c in terms.items():
-                c = hpoly.exact(c)
-                if c:
-                    out[(int(k), int(t))] = c
-        self.terms = out
-
-    @staticmethod
-    def zero() -> "B1Element":
-        return B1Element()
-
-    @staticmethod
-    def one() -> "B1Element":
-        return B1Element({(0, 0): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, B1Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "B1Element") -> "B1Element":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            d = out.get(k, 0) + c
-            if d:
-                out[k] = d
-            else:
-                out.pop(k, None)
-        res = B1Element.__new__(B1Element)
-        res.terms = out
-        return res
-
-    def scale(self, c: Scalar) -> "B1Element":
-        c = hpoly.exact(c)
-        res = B1Element.__new__(B1Element)
-        res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return res
-
-    def __rmul__(self, c: Scalar) -> "B1Element":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __neg__(self) -> "B1Element":
-        return self.scale(-1)
-
-    def __sub__(self, other: "B1Element") -> "B1Element":
-        return self + (-other)
-
-    def __mul__(self, other: "B1Element") -> "B1Element":
-        if not isinstance(other, B1Element):
-            return NotImplemented
-        out: dict[Tuple[int, int], Scalar] = {}
-        for (k, t), c in self.terms.items():
-            for (l, u), d in other.terms.items():
-                # H^t d^k H^u d^l = H^t (H+k)^u d^{k+l}
-                p = hpoly.mul((0,) * t + (1,), hpoly.shift((0,) * u + (1,), k))
-                for m, a in enumerate(p):
-                    if a:
-                        key = (k + l, m)
-                        val = out.get(key, 0) + c * d * a
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
-        res = B1Element.__new__(B1Element)
-        res.terms = out
-        return res
-
-    def __str__(self) -> str:
-        terms: list[Tuple[Scalar, str]] = []
-        for (k, t) in sorted(self.terms):
-            parts = []
-            if t > 0:
-                parts.append("H" if t == 1 else f"H^{t}")
-            if k != 0:
-                parts.append("d" if k == 1 else f"d^{k}")
-            terms.append((self.terms[(k, t)], "*".join(parts)))
-        return format_terms(terms)
-
-    __repr__ = __str__
 

@@ -24,6 +24,10 @@ from .tensor import ElementN
 
 Scalar = Union[int, Fraction]
 
+# Largest matrix dimension size**rank a TruncMatrix may have: a dense
+# 4096 x 4096 grid of Python ints already takes over 100 MB.
+MAX_MATRIX_DIM = 4096
+
 
 class TruncMatrix:
     """An exact dim x dim rational matrix; dim = size**rank for tensor operators.
@@ -37,9 +41,13 @@ class TruncMatrix:
     def __init__(self, size: int, rank: int = 1, entries=None):
         if size < 1:
             raise ValueError(f"size must be positive, got {size}")
+        dim = size**rank
+        if dim > MAX_MATRIX_DIM:
+            raise ValueError(
+                f"matrix dimension {size}^{rank} = {dim} exceeds the budget {MAX_MATRIX_DIM}"
+            )
         self.size = size
         self.rank = rank
-        dim = size**rank
         if entries is None:
             self.entries = [[0] * dim for _ in range(dim)]
         else:

@@ -1,8 +1,12 @@
 """Rank-n operators as sparse combinations of tensor products of rank-1 atoms.
 
 The rank-n algebra is the n-fold tensor product of the rank-1 algebra, acting
-factor-wise on K[x_1, ..., x_n].  Keys are ordered tuples of basis atoms, so
-two ElementN values are equal as operators iff their term maps are identical.
+factor-wise on K[x_1, ..., x_n] (apply_n; rank 1 is apply_n(lift(1, a, 1), p)).
+Keys are ordered tuples of basis atoms, so two ElementN values are equal as
+operators iff their term maps are identical.  The quotient by the e-span is
+the n-fold tensor power of the skew Laurent algebra Q[H][d, d^-1] (BnElement,
+reached through project_bn; rank 1 is project_bn(lift(1, a, 1))).  Both
+classes share one sparse-term arithmetic, _Terms.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .element import (
     ATOM_ONE,
     Atom,
     Element1,
+    _index,
     atom_apply_power,
     atom_mul,
     atom_sort_key,
@@ -27,52 +32,59 @@ from .element import (
 
 Scalar = Union[int, Fraction]
 Key = Tuple[Atom, ...]
+SkewKey = Tuple[Tuple[int, int], ...]
 
 
-class ElementN:
-    """An operator of fixed tensor rank n >= 1."""
+class _Terms:
+    """A sparse map key -> nonzero coefficient at a fixed tensor rank n >= 1.
+
+    The constructor and linear operations of ElementN and BnElement; each
+    subclass validates its keys in _check_key.  + and == take only values of
+    the same class.  Values are immutable by convention."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Optional[Mapping[Key, Scalar]] = None):
+    def __init__(self, n: int, terms: Optional[Mapping[tuple, Scalar]] = None):
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
-        self.n = n
-        out: dict[Key, Scalar] = {}
+        out: dict[tuple, Scalar] = {}
         if terms:
             for key, c in terms.items():
                 if len(key) != n:
                     raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
-                key = check_key(key)
+                key = self._check_key(key)
                 c = hpoly.exact(c)
                 if c:
                     out[key] = c
-        self.terms = out
+        self.n, self.terms = n, out
 
-    @staticmethod
-    def zero(n: int) -> "ElementN":
-        return ElementN(n)
+    @classmethod
+    def _make(cls, n: int, terms: dict):
+        """Wrap an already canonical term map without checking it."""
+        res = cls.__new__(cls)
+        res.n, res.terms = n, terms
+        return res
 
-    @staticmethod
-    def one(n: int) -> "ElementN":
-        return ElementN(n, {(ATOM_ONE,) * n: 1})
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ElementN):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
 
-    def _require_same_rank(self, other: "ElementN") -> None:
+    def _require_same_rank(self, other: "_Terms") -> None:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
 
-    def __add__(self, other: "ElementN") -> "ElementN":
-        if not isinstance(other, ElementN):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._require_same_rank(other)
         out = dict(self.terms)
@@ -82,27 +94,49 @@ class ElementN:
                 out[k] = d
             else:
                 out.pop(k, None)
-        res = ElementN.__new__(ElementN)
-        res.n, res.terms = self.n, out
-        return res
+        return self._make(self.n, out)
 
-    def scale(self, c: Scalar) -> "ElementN":
+    def scale(self, c: Scalar):
         c = hpoly.exact(c)
-        res = ElementN.__new__(ElementN)
-        res.n = self.n
-        res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return res
+        return self._make(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
-    def __rmul__(self, c: Scalar) -> "ElementN":
+    def __rmul__(self, c: Scalar):
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
 
-    def __neg__(self) -> "ElementN":
+    def __neg__(self):
         return self.scale(-1)
 
-    def __sub__(self, other: "ElementN") -> "ElementN":
+    def __sub__(self, other):
         return self + (-other)
+
+
+def _collect(out: dict, base: Scalar, factor_expansions: list) -> None:
+    """Add base times every tensor product of the per-factor expansions, each a
+    list of (key part, coefficient) pairs, to out, dropping sums that cancel."""
+    for combo in product(*factor_expansions):
+        key = tuple(part for part, _ in combo)
+        c = base
+        for _, cc in combo:
+            c *= cc
+        d = out.get(key, 0) + c
+        if d:
+            out[key] = d
+        else:
+            out.pop(key, None)
+
+
+class ElementN(_Terms):
+    """An operator of fixed tensor rank n >= 1: a sparse map Key -> coefficient."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(check_key)
+
+    @staticmethod
+    def one(n: int) -> "ElementN":
+        return ElementN(n, {(ATOM_ONE,) * n: 1})
 
     def __mul__(self, other: "ElementN") -> "ElementN":
         """Factor-wise product: each pair of per-factor atoms is multiplied in
@@ -116,29 +150,14 @@ class ElementN:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 factor_expansions = []
-                dead = False
                 for a1, a2 in zip(k1, k2):
                     prod1 = list(atom_mul(a1, a2).atoms())
                     if not prod1:
-                        dead = True
                         break
                     factor_expansions.append(prod1)
-                if dead:
-                    continue
-                base = c1 * c2
-                for combo in product(*factor_expansions):
-                    key = tuple(at for at, _ in combo)
-                    c = base
-                    for _, cc in combo:
-                        c *= cc
-                    d = out.get(key, 0) + c
-                    if d:
-                        out[key] = d
-                    else:
-                        out.pop(key, None)
-        res = ElementN.__new__(ElementN)
-        res.n, res.terms = self.n, out
-        return res
+                else:
+                    _collect(out, c1 * c2, factor_expansions)
+        return ElementN._make(self.n, out)
 
     def power(self, k: int) -> "ElementN":
         if k < 0:
@@ -217,109 +236,50 @@ def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int,
     return out
 
 
-class BnElement:
+def _skew_terms(k: int, p: hpoly.HPoly) -> list:
+    """The per-factor expansion of p(H) d^k: ((k, m), coefficient of H^m) pairs."""
+    return [((k, m), c) for m, c in enumerate(p) if c]
+
+
+class BnElement(_Terms):
     """Rank-n image under the quotient by the e-span: tensors of skew Laurent terms.
 
-    Keys are n-tuples of (k, t) pairs, the per-factor coefficient of H^t d^k.
+    Keys are n-tuples of (k, t) pairs, the per-factor coefficient of H^t d^k,
+    with integer k of any sign and t >= 0.  Multiplication twists by
+    d^k p(H) = p(H+k) d^k; d^-1 exists in the quotient because
+    I d = 1 - e(0,0) dies there.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(
-        self, n: int, terms: Optional[Mapping[Tuple[Tuple[int, int], ...], Scalar]] = None
-    ):
-        if n < 1:
-            raise ValueError(f"rank must be positive, got {n}")
-        self.n = n
-        out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != n:
-                    raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
-                c = hpoly.exact(c)
-                if c:
-                    out[tuple((int(k), int(t)) for k, t in key)] = c
-        self.terms = out
+    __slots__ = ()
 
     @staticmethod
-    def zero(n: int) -> "BnElement":
-        return BnElement(n)
+    def _check_key(key: SkewKey) -> SkewKey:
+        out = []
+        for k, t in key:
+            k, t = _index(k, "d-power"), _index(t, "H-power")
+            if t < 0:
+                raise ValueError(f"H-power must be nonnegative, got {t}")
+            out.append((k, t))
+        return tuple(out)
 
     @staticmethod
     def one(n: int) -> "BnElement":
         return BnElement(n, {((0, 0),) * n: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BnElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "BnElement") -> "BnElement":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} != {other.n}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            d = out.get(k, 0) + c
-            if d:
-                out[k] = d
-            else:
-                out.pop(k, None)
-        res = BnElement.__new__(BnElement)
-        res.n, res.terms = self.n, out
-        return res
-
-    def scale(self, c: Scalar) -> "BnElement":
-        c = hpoly.exact(c)
-        res = BnElement.__new__(BnElement)
-        res.n = self.n
-        res.terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return res
-
-    def __rmul__(self, c: Scalar) -> "BnElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __neg__(self) -> "BnElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "BnElement") -> "BnElement":
-        return self + (-other)
-
     def __mul__(self, other: "BnElement") -> "BnElement":
         if not isinstance(other, BnElement):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} != {other.n}")
-        out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
+        self._require_same_rank(other)
+        out: dict[SkewKey, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                factor_expansions = []
-                for (k, t), (l, u) in zip(k1, k2):
-                    # H^t d^k H^u d^l = H^t (H+k)^u d^{k+l}
-                    p = hpoly.mul((0,) * t + (1,), hpoly.shift((0,) * u + (1,), k))
-                    factor_expansions.append(
-                        [((k + l, m), c) for m, c in enumerate(p) if c]
-                    )
-                base = c1 * c2
-                for combo in product(*factor_expansions):
-                    key = tuple(pair for pair, _ in combo)
-                    c = base
-                    for _, cc in combo:
-                        c *= cc
-                    d = out.get(key, 0) + c
-                    if d:
-                        out[key] = d
-                    else:
-                        out.pop(key, None)
-        res = BnElement.__new__(BnElement)
-        res.n, res.terms = self.n, out
-        return res
+                # H^t d^k H^u d^l = H^t (H+k)^u d^{k+l}, factor by factor
+                factor_expansions = [
+                    _skew_terms(k + l, hpoly.mul((0,) * t + (1,), hpoly.shift((0,) * u + (1,), k)))
+                    for (k, t), (l, u) in zip(k1, k2)
+                ]
+                _collect(out, c1 * c2, factor_expansions)
+        return BnElement._make(self.n, out)
 
     def __str__(self) -> str:
         terms: list[Tuple[Scalar, str]] = []
@@ -340,25 +300,10 @@ class BnElement:
 def project_bn(a: ElementN) -> BnElement:
     """Quotient map killing every tensor with an e-unit in any factor,
     applied factor-wise on the rest.  A ring homomorphism."""
-    out: dict[Tuple[Tuple[int, int], ...], Scalar] = {}
+    out: dict[SkewKey, Scalar] = {}
     for key, c in a.terms.items():
         if any(atom[0] == "e" for atom in key):
             continue
-        factor_expansions = []
-        for tag, i, t in key:
-            # v_i H^t maps to d^{-i} H^t = (H-i)^t d^{-i}
-            p = hpoly.shift((0,) * t + (1,), -i)
-            factor_expansions.append([((-i, m), cc) for m, cc in enumerate(p) if cc])
-        for combo in product(*factor_expansions):
-            k = tuple(pair for pair, _ in combo)
-            cc = c
-            for _, c2 in combo:
-                cc *= c2
-            d = out.get(k, 0) + cc
-            if d:
-                out[k] = d
-            else:
-                out.pop(k, None)
-    res = BnElement.__new__(BnElement)
-    res.n, res.terms = a.n, out
-    return res
+        # v_i H^t maps to d^{-i} H^t = (H-i)^t d^{-i}
+        _collect(out, c, [_skew_terms(-i, hpoly.shift((0,) * t + (1,), -i)) for _, i, t in key])
+    return BnElement._make(a.n, out)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from idop.element import B1Element, Element1
+from idop.element import Element1
 from idop.oracle import consistent, elementary_matrix, to_matrix, to_matrix_monomial
 from idop.sampling import (
     random_element1,
@@ -29,7 +29,7 @@ from idop.structure import (
     socle_level,
     split,
 )
-from idop.tensor import lift, project_bn
+from idop.tensor import BnElement, lift, project_bn
 from idop.verify import FILTRATION_DIMS_ONE_I
 
 D = Element1.from_generator("d")
@@ -187,16 +187,19 @@ def test_criterion_9_kernel_witness():
 
 def test_criterion_10_quotient_homomorphism():
     with _Timer(10, "quotients multiplicative on 200 pairs; kernel is the e-span", 30.0):
+        def quot1(a):
+            return project_bn(lift(1, a, 1))
+
         rng = random.Random(0)
         for _ in range(200):
             a = random_element1(rng)
             b = random_element1(rng)
-            assert (a * b).project_b1() == a.project_b1() * b.project_b1()
+            assert quot1(a * b) == quot1(a) * quot1(b)
             an = random_element_n(rng, 2)
             bn = random_element_n(rng, 2)
             assert project_bn(an * bn) == project_bn(an) * project_bn(bn)
-            assert a.project_b1().is_zero() == (not a.graded)
-        assert e(3, 5).project_b1() == B1Element.zero()
+            assert quot1(a).is_zero() == (not a.graded)
+        assert quot1(e(3, 5)) == BnElement.zero(1)
         h_diff = lift(1, H, 2) - lift(2, H, 2)
         assert not project_bn(h_diff).is_zero()
 

@@ -172,6 +172,13 @@ class TestMatrix:
         code, _, err = run(capsys, "matrix", "H", "--size", "0")
         assert code == 1
 
+    def test_dimension_budget(self, capsys):
+        from idop.oracle import MAX_MATRIX_DIM
+
+        code, out, err = run(capsys, "matrix", "x_1", "--n", "3", "--size", "17")
+        assert code == 1 and out == ""
+        assert err == f"error: matrix dimension 17^3 = 4913 exceeds the budget {MAX_MATRIX_DIM}\n"
+
 
 class TestDims:
     def test_e00(self, capsys):

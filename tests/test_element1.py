@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from idop.element import B1Element, Element1, atom_mul, from_atoms
+from idop.element import Element1, atom_mul, from_atoms
 from idop.oracle import consistent, to_matrix
+from idop.tensor import BnElement, apply_n, lift, project_bn
 from conftest import elements1, polys1
 
 D = Element1.from_generator("d")
@@ -20,6 +21,16 @@ ONE = Element1.one()
 
 def e(s, t):
     return Element1(fpart={(s, t): 1})
+
+
+def act(a, p):
+    """The rank-1 polynomial action, on a sparse map exponent -> coefficient."""
+    return {r: c for (r,), c in apply_n(lift(1, a, 1), {(s,): c for s, c in p.items()}).items()}
+
+
+def quot(a):
+    """The image in the rank-1 skew Laurent quotient."""
+    return project_bn(lift(1, a, 1))
 
 
 class TestAtomMul:
@@ -123,21 +134,21 @@ class TestDefiningRelations:
 
 class TestApply:
     def test_integration(self):
-        assert I.apply({2: 1}) == {3: Fraction(1, 3)}
+        assert act(I, {2: 1}) == {3: Fraction(1, 3)}
 
     def test_eunit_action(self):
-        assert e(1, 2).apply({2: 1}) == {1: Fraction(2)}
+        assert act(e(1, 2), {2: 1}) == {1: Fraction(2)}
 
     def test_H_action(self):
-        assert H.apply({3: 1}) == {3: Fraction(4)}
+        assert act(H, {3: 1}) == {3: Fraction(4)}
 
     def test_d_kills_constants(self):
-        assert D.apply({0: 5}) == {}
+        assert act(D, {0: 5}) == {}
 
     @given(elements1(), elements1(), polys1())
     @settings(max_examples=60, deadline=None)
     def test_representation_property(self, a, b, p):
-        assert (a * b).apply(p) == a.apply(b.apply(p))
+        assert act(a * b, p) == act(a, act(b, p))
 
 
 class TestFdegree:
@@ -203,25 +214,25 @@ class TestTranspose:
 
 class TestQuotient:
     def test_eunits_die(self):
-        assert e(5, 7).project_b1().is_zero()
+        assert quot(e(5, 7)).is_zero()
 
     def test_integral_inverts(self):
-        assert I.project_b1() == B1Element({(-1, 0): 1})
-        assert I.project_b1() * D.project_b1() == B1Element.one()
+        assert quot(I) == BnElement(1, {((-1, 0),): 1})
+        assert quot(I) * quot(D) == BnElement.one(1)
 
     def test_twist(self):
         # d H = (H+1) d
-        assert D.project_b1() * H.project_b1() == B1Element({(1, 0): 1, (1, 1): 1})
+        assert quot(D) * quot(H) == BnElement(1, {((1, 0),): 1, ((1, 1),): 1})
 
     @given(elements1(), elements1())
     @settings(max_examples=60, deadline=None)
     def test_homomorphism(self, a, b):
-        assert (a * b).project_b1() == a.project_b1() * b.project_b1()
-        assert (a + b).project_b1() == a.project_b1() + b.project_b1()
+        assert quot(a * b) == quot(a) * quot(b)
+        assert quot(a + b) == quot(a) + quot(b)
 
     @given(elements1())
     def test_kernel_is_e_span(self, a):
-        assert a.project_b1().is_zero() == (not a.graded)
+        assert quot(a).is_zero() == (not a.graded)
 
 
 class TestCanonicalForm:
@@ -257,6 +268,21 @@ class TestCanonicalForm:
     def test_constructor_rejects_invalid_indices(self, graded, fpart, error):
         with pytest.raises(error) as info:
             Element1(graded, fpart)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "atom, error",
+        [
+            (("q", 0, 1), ValueError),  # read as e(0,1) without the check
+            (("v", 0, -1), ValueError),  # dropped to 0 without the check
+            (("e", -1, 0), ValueError),
+            (("v", 1.5, 0), TypeError),
+            (("v", 0), TypeError),
+        ],
+    )
+    def test_from_atoms_rejects_invalid_atoms(self, atom, error):
+        with pytest.raises(error) as info:
+            from_atoms([(atom, 5)])
         assert "\n" not in str(info.value)
 
 

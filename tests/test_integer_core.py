@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idop import hpoly
-from idop.element import B1Element, Element1, from_atoms
+from idop.element import Element1, from_atoms
 from idop.expr import element1_to_json
 from idop.oracle import (
     RowReducer,
@@ -22,7 +22,7 @@ from idop.oracle import (
     to_matrix,
     to_matrix_n,
 )
-from idop.tensor import BnElement, ElementN, apply_n
+from idop.tensor import BnElement, ElementN, apply_n, lift
 from conftest import elements1, elements_n
 
 H = Element1.from_generator("H")
@@ -145,12 +145,12 @@ class TestFloatsRejected:
             lambda: from_atoms([(("v", 0, 0), 1.5)]),
             lambda: ElementN(2, {(("v", 0, 0), ("v", 0, 0)): 0.5}),
             lambda: ElementN.one(2).scale(0.5),
-            lambda: B1Element({(0, 0): 0.5}),
+            lambda: BnElement.one(1).scale(0.5),
             lambda: BnElement(1, {((0, 0),): 0.5}),
             lambda: TruncMatrix(1, entries=[[0.5]]),
             lambda: TruncMatrix(1).scale(0.5),
             lambda: exact_rank([[1, 0.5]]),
-            lambda: Element1.one().apply({0: 0.5}),
+            lambda: apply_n(lift(1, Element1.one(), 1), {(0,): 0.5}),
             lambda: apply_n(ElementN.one(2), {(0, 0): 0.5}),
         ],
     )

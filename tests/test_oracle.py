@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from idop import oracle
 from idop.element import Element1
 from idop.oracle import (
     RowReducer,
+    TruncMatrix,
     consistent,
     elementary_matrix,
     exact_rank,
@@ -71,8 +73,8 @@ class TestToMatrix:
         N = 10
         m = to_matrix_monomial(a, N)
         for s in range(N):
-            img = a.apply({s: 1})
-            col = [img.get(r, Fraction(0)) for r in range(N)]
+            img = apply_n(lift(1, a, 1), {(s,): 1})
+            col = [img.get((r,), Fraction(0)) for r in range(N)]
             assert m.column(s) == col
 
 
@@ -135,6 +137,18 @@ class TestTensorMatrix:
         dI = lift(1, D, 2) * lift(2, I, 2)
         m = to_matrix_n(dI, 3)
         assert m.entries[0 * 3 + 1][1 * 3 + 0] == 1  # column (1,0) -> row (0,1)
+
+    def test_dimension_budget(self):
+        # checked first, and the smallest overshoot first: without the budget
+        # the calls below would allocate up to 64000^2 entries
+        assert oracle.MAX_MATRIX_DIM == 4096
+        for size, rank in [(65, 2), (17, 3), (4097, 1), (40, 3)]:
+            with pytest.raises(ValueError, match="exceeds the budget") as info:
+                TruncMatrix(size, rank)
+            assert "\n" not in str(info.value)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            to_matrix_n(lift(1, D, 3), 17)
+        assert TruncMatrix(5, 3).dim == 125  # the largest matrix the checks use
 
     @given(elements_n())
     @settings(max_examples=20, deadline=None)

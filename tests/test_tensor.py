@@ -69,6 +69,28 @@ class TestConstructor:
         a = ElementN(1, {(("v", np.int64(-2), np.int32(1)),): 1})
         assert a.terms == {(("v", -2, 1),): 1}
         assert all(type(v) is int for v in next(iter(a.terms))[0][1:])
+        b = BnElement(1, {((np.int64(-2), np.int32(1)),): 1})
+        assert b.terms == {((-2, 1),): 1}
+        assert all(type(v) is int for v in next(iter(b.terms))[0])
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            ((1.7, 0), TypeError),  # would truncate to d
+            ((0, Fraction(1)), TypeError),
+            (("1", 0), TypeError),
+            ((1, -2), ValueError),  # negative H-power
+        ],
+    )
+    def test_bn_rejects_invalid_keys(self, pair, error):
+        with pytest.raises(error) as info:
+            BnElement(2, {(pair, (0, 0)): 1})
+        assert "\n" not in str(info.value)
+        with pytest.raises(error):  # also when the coefficient is zero
+            BnElement(1, {(pair,): 0})
+
+    def test_bn_accepts_any_d_power(self):
+        assert BnElement(1, {((-3, 2),): 1}).terms == {((-3, 2),): 1}
 
 
 class TestMul:
@@ -90,6 +112,18 @@ class TestMul:
             ElementN.one(2) * ElementN.one(3)
         with pytest.raises(ValueError):
             ElementN.one(2) + ElementN.one(3)
+
+    def test_operator_and_quotient_do_not_mix(self):
+        a, b = ElementN.one(1), BnElement.one(1)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                x - y
+            with pytest.raises(TypeError):
+                x * y
+        assert ElementN.zero(1) != BnElement.zero(1)
+        assert not ElementN.zero(1) == BnElement.zero(1)
 
     @given(elements1(), elements1())
     @settings(max_examples=60, deadline=None)
@@ -138,10 +172,10 @@ class TestProjectBn:
         assert not project_bn(h_diff).is_zero()
 
     def test_rank1_matches_b1(self):
-        a = X * D + I + E00
-        b1 = a.project_b1()
-        bn = project_bn(lift(1, a, 1))
-        assert bn.terms == {((k, t),): c for (k, t), c in b1.terms.items()}
+        # x d = H - 1, I = d^-1 and e(0,0) dies in the rank-1 quotient B_1
+        bn = project_bn(lift(1, X * D + I + E00, 1))
+        assert bn == BnElement(1, {((0, 0),): -1, ((0, 1),): 1, ((-1, 0),): 1})
+        assert str(bn) == "d^-1 - 1 + H"
 
     @given(elements_n(), elements_n())
     @settings(max_examples=40, deadline=None)
