@@ -13,7 +13,8 @@ Juxtaposition is not multiplication; products need an explicit '*'.  The
 factor index defaults to 1 when the rank is 1 and is required otherwise.
 Polynomials for the `apply` command use the variables x1..xn (bare `x` is
 accepted at rank 1) with the same '+', '-', '*', '^' operators.
-Parentheses nest at most MAX_NESTING (100) levels deep.
+Parentheses nest at most MAX_NESTING (100) levels deep, and the exponents on
+any path through the parse tree multiply to at most MAX_EXPONENT (60).
 """
 
 from __future__ import annotations
@@ -101,12 +102,31 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parse trees ---------------------------------------------------------------
 
 # Nodes: ("num", Fraction), ("gen", name, index, pos), ("eunit", s, t, index, pos),
-#        ("sum", ((sign, term), ...)), ("prod", (factor, ...)), ("pow", base, k).
+#        ("sum", ((sign, term), ...)), ("prod", (factor, ...)),
+#        ("pow", base, k, exponent product of the node).
 # Sums and products are n-ary and evaluated left to right, so a long flat input
 # never builds a deep tree; only parentheses nest, up to MAX_NESTING levels.
 Node = tuple
 
 MAX_NESTING = 100  # parenthesis depth; keeps parsing and evaluation off the recursion limit
+# Largest product of nested exponents, checked before anything is evaluated, so
+# that (x+d)^400 and ((x+d)^60)^60 are refused instead of running for hours.
+MAX_EXPONENT = 60
+
+
+def _exponent_product(node: Node) -> int:
+    """The largest product of exponents on a path from node down to a leaf.
+
+    A power node stores its own product, so no subtree is walked twice.
+    """
+    kind = node[0]
+    if kind == "pow":
+        return node[3]
+    if kind == "sum":
+        return max(_exponent_product(term) for _, term in node[1])
+    if kind == "prod":
+        return max(_exponent_product(factor) for factor in node[1])
+    return 1
 
 
 class _Parser:
@@ -162,7 +182,14 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             tok = self.expect("num")
-            node = ("pow", node, tok.value)
+            # an exponent 0 counts as 1: its base is still evaluated, and an
+            # exponent around it still loops over the result
+            total = max(tok.value, 1) * _exponent_product(node)
+            if total > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent product {total} exceeds the budget {MAX_EXPONENT}", tok.pos
+                )
+            node = ("pow", node, tok.value, total)
         return node
 
     def atom(self) -> Node:

@@ -15,6 +15,7 @@ independent referee for the symbolic engine.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,6 +42,12 @@ class TruncMatrix:
     def __init__(self, size: int, rank: int = 1, entries=None):
         if size < 1:
             raise ValueError(f"size must be positive, got {size}")
+        try:
+            rank = operator.index(rank)
+        except TypeError:
+            raise TypeError(f"rank must be an integer, got {type(rank).__name__} {rank!r}") from None
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
         dim = size**rank
         if dim > MAX_MATRIX_DIM:
             raise ValueError(

@@ -74,14 +74,6 @@ def random_weyl_word(rng: random.Random, n: int, max_len: int = 3) -> ElementN:
     return word
 
 
-def random_poly1(rng: random.Random, max_degree: int = 4) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for _ in range(rng.randint(1, 3)):
-        s = rng.randint(0, max_degree)
-        out[s] = out.get(s, 0) + _coeff(rng)
-    return {s: c for s, c in out.items() if c}
-
-
 def random_poly_n(rng: random.Random, n: int, max_degree: int = 3) -> dict[tuple, int]:
     out: dict[tuple, int] = {}
     for _ in range(rng.randint(1, 3)):

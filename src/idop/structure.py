@@ -177,9 +177,27 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     because a word of degree i is x w, d w, w x or w d for a word w of degree
     i-1, while d x^a d^b = x^a d^{b+1} + a x^{a-1} d^b and
     x^c d^e x = x^{c+1} d^e + e x^c d^{e-1} keep every side product of a word
-    in the next level.  As {x, d} V_{i-2} lies in V_{i-1}, only the elements
-    whose rows were kept at level i-1 are multiplied.  Each dimension is an
-    exact rational rank over the union of support atoms; the result is
+    in the next level.
+
+    Only the elements k whose rows were kept at level i-1 are multiplied, and
+    only by the moves that keep a word x^a d^b g x^c d^e normal.  The moves are
+    numbered 0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged
+    with the move that made it (generators with 3) and is extended only by
+    moves <= its tag.  Let S_i be V_{i-1} plus the span of these extensions.
+    As {x, d} V_{i-2} and V_{i-2} {x, d} lie in V_{i-1}, and a kept k with
+    tag t is move t of some k' in V_{i-2}, S_i = V_i follows move by move,
+    each line using the ones above it:
+
+      x V_{i-1} lies in S_i, as move 0 is always allowed;
+      d V_{i-1}, as d (x k') = x (d k') + k';
+      V_{i-1} d, as (d k') d = d (k' d) and (x k') d = x (k' d);
+      V_{i-1} x, as (k' d) x = (k' x) d + k', (d k') x = d (k' x) and
+      (x k') x = x (k' x).
+
+    Within a level the moves run in the order 0, 1, 2, 3 over all fresh
+    elements, so that the elements allowing the fewest extensions are kept
+    first; any order gives the same spans.  Each dimension is an exact
+    rational rank over the union of support atoms; the result is
     nondecreasing and independent of generator order.
     """
     if not generators:
@@ -194,12 +212,15 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
         )
     x = Element1.from_generator("x")
     d = Element1.from_generator("d")
+    moves = (lambda k: x * k, lambda k: d * k, lambda k: k * d, lambda k: k * x)
     red = RowReducer()
-    fresh = [g for g in generators if red.add(g.support_vector())]
+    fresh = [(g, 3) for g in generators if red.add(g.support_vector())]
     dims = [red.rank]
     for _ in range(i_max):
-        candidates = (c for b in fresh for c in (x * b, d * b, b * x, b * d))
-        fresh = [c for c in candidates if red.add(c.support_vector())]
+        candidates = (
+            (move(k), m) for m, move in enumerate(moves) for k, tag in fresh if m <= tag
+        )
+        fresh = [(c, m) for c, m in candidates if red.add(c.support_vector())]
         dims.append(red.rank)
     return dims
 

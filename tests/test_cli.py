@@ -79,6 +79,17 @@ class TestNorm:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_exponent_budget(self, capsys):
+        # refused while parsing; without the budget the first two would run for hours
+        for expr, total in [("(x+d)^400", 400), ("((x+d)^60)^60", 3600), ("(x+d)^61", 61)]:
+            code, out, err = run(capsys, "norm", expr)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: exponent product {total} exceeds the budget 60")
+        assert run(capsys, "norm", "((H^2)^3)^10") == (0, "H^60\n", "")
+        code, _, err = run(capsys, "apply", "x", "x^61")
+        assert code == 1 and err.startswith("error: exponent product 61")
+
 
 class TestApply:
     def test_antiderivative(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from idop.element import Element1
 from idop.expr import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ExprSyntaxError,
     parse_element,
@@ -85,6 +86,27 @@ class TestParseElement:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_element("I*(" + deep + ")", 1)
         assert exc.value.pos == 2 + MAX_NESTING
+
+    def test_exponent_budget(self):
+        assert MAX_EXPONENT == 60  # admits (x+d)^60, the largest power measured
+        h60 = lift(1, H.power(60), 1)
+        assert parse_element("H^60", 1) == h60
+        assert parse_element("((H^2)^3)^10", 1) == h60
+        assert parse_element("H^60*H^60", 1) == lift(1, H.power(120), 1)  # not nested
+        assert parse_element("(H^60)^0 + (H^0)^60", 1) == ElementN.one(1).scale(2)
+        refused = [
+            ("H^61", 2),
+            ("((H^2)^3)^11", 10),
+            ("(H^60)^60", 7),
+            ("(1 + x^60)^2", 11),
+            ("(H^0)^61", 6),  # an exponent 0 counts as 1
+        ]
+        for text, pos in refused:
+            with pytest.raises(ExprSyntaxError, match="exceeds the budget 60") as exc:
+                parse_element(text, 1)
+            assert exc.value.pos == pos
+        with pytest.raises(ExprSyntaxError, match="exponent product 61"):
+            parse_poly("x^61", 1)
 
     def test_long_flat_input(self):
         assert parse_element("-" + "+".join(["d*I"] * 2000), 1) == ElementN.one(1).scale(1998)

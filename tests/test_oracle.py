@@ -126,6 +126,13 @@ class TestConsistent:
     def test_rank2_window(self, a, b):
         assert consistent(a, b, 12)
 
+    @given(elements_n(n=3, max_terms=2), elements_n(n=3, max_terms=2))
+    @settings(max_examples=8, deadline=None)
+    def test_rank3_window(self, a, b):
+        # the smallest size with a window of two columns per factor, as size**3
+        # grows fast: the matrices have 8 to 1728 rows
+        assert consistent(a, b, up(a) + up(b) + 2)
+
 
 class TestTensorMatrix:
     def test_rank1_agrees(self):
@@ -149,6 +156,14 @@ class TestTensorMatrix:
         with pytest.raises(ValueError, match="exceeds the budget"):
             to_matrix_n(lift(1, D, 3), 17)
         assert TruncMatrix(5, 3).dim == 125  # the largest matrix the checks use
+
+    @pytest.mark.parametrize(
+        "rank, error", [(0, ValueError), (-1, ValueError), (1.5, TypeError), ("2", TypeError)]
+    )
+    def test_rank_must_be_a_positive_integer(self, rank, error):
+        with pytest.raises(error, match="^rank must be") as info:
+            TruncMatrix(3, rank)
+        assert "\n" not in str(info.value)
 
     @given(elements_n())
     @settings(max_examples=20, deadline=None)

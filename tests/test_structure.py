@@ -36,6 +36,10 @@ X = Element1.from_generator("x")
 E00 = Element1(fpart={(0, 0): 1})
 
 
+def e(s, t):
+    return Element1(fpart={(s, t): 1})
+
+
 class TestSplit:
     def test_integral_is_complement(self):
         parts = split(I)
@@ -197,13 +201,17 @@ class TestFiltrationDims:
     @example([I, 2 * I], 6)
     @example([Element1.one(), X, I * H], 6)
     @example([D.power(2) * H - 3 * E00, I * H.power(2)], 6)
+    # extensions restricted to the moves that keep a word normal, at the index cap
+    @example([I, E00], 16)
+    @example([D * H, I.power(2)], 16)
+    @example([D * H.power(2) + 2 * e(1, 2)], 16)
     @settings(max_examples=40, deadline=None)
     def test_matches_word_enumeration(self, gens, i_max):
         assert bimodule_filtration_dims(gens, i_max) == brute_filtration_dims(gens, i_max)
 
     def test_rows_added_per_level(self, monkeypatch):
-        # only the elements kept at the previous level are extended, by x and d
-        # on both sides: 2 generators + 4 * dim V_15 rows in all
+        # only the elements kept at the previous level are extended, and only
+        # by the moves that keep their words x^a d^b g x^c d^e normal
         calls = 0
         add = RowReducer.add
 
@@ -215,7 +223,18 @@ class TestFiltrationDims:
         monkeypatch.setattr(RowReducer, "add", counting_add)
         dims = bimodule_filtration_dims([Element1.one(), I], 16)
         assert dims[:15] == FILTRATION_DIMS_ONE_I
-        assert calls == 2 + 4 * dims[15] == 1570
+        assert calls == 490
+        calls = 0
+        assert bimodule_filtration_dims([E00], 16)[-1] == 153
+        assert calls == 170
+        # each move runs over all fresh elements before the next move does, so
+        # that elements allowing few extensions are kept first; running all
+        # moves of one element before the next element's would add 366 rows
+        calls = 0
+        g1 = 3 * D.power(3) * H.power(3) + 8 * I.power(2) * H.power(2) - 5 * e(4, 5)
+        g2 = 8 * e(2, 5) - e(0, 5)
+        assert bimodule_filtration_dims([g1, g2], 8)[-1] == 278
+        assert calls == 353
 
     def test_e00_generator(self):
         dims = bimodule_filtration_dims([E00], 6)

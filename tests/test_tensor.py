@@ -137,6 +137,11 @@ class TestMul:
         assert a * (b + c) == a * b + a * c
         assert ElementN.one(2) * a == a
 
+    @given(elements_n(n=3), elements_n(n=3), elements_n(n=3))
+    @settings(max_examples=15, deadline=None)
+    def test_associative_rank3(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+
 
 class TestApply:
     def test_mixed_partial(self):
@@ -156,6 +161,11 @@ class TestApply:
     @given(elements_n(), elements_n(), polys_n())
     @settings(max_examples=30, deadline=None)
     def test_composition(self, a, b, p):
+        assert apply_n(a * b, p) == apply_n(a, apply_n(b, p))
+
+    @given(elements_n(n=3), elements_n(n=3), polys_n(n=3))
+    @settings(max_examples=15, deadline=None)
+    def test_composition_rank3(self, a, b, p):
         assert apply_n(a * b, p) == apply_n(a, apply_n(b, p))
 
 
