@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .expr import (
     parse_poly,
     poly_to_json,
 )
-from .oracle import to_matrix, to_matrix_n
+from .oracle import to_matrix_n
 from .structure import (
     bimodule_filtration_dims,
     census,
@@ -191,11 +192,7 @@ def _cmd_quot(args) -> int:
 def _cmd_matrix(args) -> int:
     if args.size < 1:
         raise _CliError(f"--size must be positive, got {args.size}")
-    e = parse_element(args.expr, args.n)
-    if args.n == 1:
-        mat = to_matrix(to_element1(e), args.size)
-    else:
-        mat = to_matrix_n(e, args.size)
+    mat = to_matrix_n(parse_element(args.expr, args.n), args.size)
     _emit(args, matrix_to_json(mat), repr(mat))
     return 0
 
@@ -266,6 +263,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so that the flush at
+        # exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .element import Element1
-from .hpoly import Scalar
 from .tensor import BnElement, ElementN, lift, to_element1
 from .oracle import TruncMatrix
 
@@ -349,15 +348,11 @@ def format_poly(p: dict, n: int) -> str:
 # -- JSON encoders -------------------------------------------------------------
 
 
-def _frac_str(c: Scalar) -> str:
-    return str(c)
-
-
 def element1_to_json(e: Element1) -> dict:
     return {
         "rank": 1,
-        "graded": [[i, [_frac_str(c) for c in e.graded[i]]] for i in sorted(e.graded)],
-        "fpart": [[s, t, _frac_str(e.fpart[(s, t)])] for s, t in sorted(e.fpart)],
+        "graded": [[i, [str(c) for c in e.graded[i]]] for i in sorted(e.graded)],
+        "fpart": [[s, t, str(e.fpart[(s, t)])] for s, t in sorted(e.fpart)],
     }
 
 
@@ -369,7 +364,7 @@ def elementn_to_json(a: ElementN) -> dict:
     graded = []
     fpart = []
     for key in sorted(a.terms, key=lambda k: tuple(atom_sort_key(at) for at in k)):
-        entry = [[list(atom) for atom in key], _frac_str(a.terms[key])]
+        entry = [[list(atom) for atom in key], str(a.terms[key])]
         if any(atom[0] == "e" for atom in key):
             fpart.append(entry)
         else:
@@ -380,14 +375,14 @@ def elementn_to_json(a: ElementN) -> dict:
 def poly_to_json(p: dict, n: int) -> dict:
     return {
         "rank": n,
-        "terms": [[list(k), _frac_str(Fraction(p[k]))] for k in sorted(p, key=lambda k: (sum(k), k))],
+        "terms": [[list(k), str(Fraction(p[k]))] for k in sorted(p, key=lambda k: (sum(k), k))],
     }
 
 
 def bn_to_json(b: BnElement) -> dict:
     return {
         "rank": b.n,
-        "terms": [[[list(pair) for pair in key], _frac_str(b.terms[key])] for key in sorted(b.terms)],
+        "terms": [[[list(pair) for pair in key], str(b.terms[key])] for key in sorted(b.terms)],
     }
 
 
@@ -395,5 +390,5 @@ def matrix_to_json(m: TruncMatrix) -> dict:
     return {
         "size": m.size,
         "rank": m.rank,
-        "rows": [[_frac_str(c) for c in row] for row in m.entries],
+        "rows": [[str(c) for c in row] for row in m.entries],
     }

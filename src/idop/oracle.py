@@ -15,11 +15,10 @@ independent referee for the symbolic engine.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .element import Atom, Element1
+from .element import Atom, Element1, _index
 from .hpoly import exact
 from .tensor import ElementN
 
@@ -40,12 +39,9 @@ class TruncMatrix:
     __slots__ = ("size", "rank", "entries")
 
     def __init__(self, size: int, rank: int = 1, entries=None):
+        size, rank = _index(size, "size"), _index(rank, "rank")
         if size < 1:
             raise ValueError(f"size must be positive, got {size}")
-        try:
-            rank = operator.index(rank)
-        except TypeError:
-            raise TypeError(f"rank must be an integer, got {type(rank).__name__} {rank!r}") from None
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         dim = size**rank

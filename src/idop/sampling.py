@@ -40,13 +40,6 @@ def random_element1(rng: random.Random) -> Element1:
     return from_atoms(pairs)
 
 
-def random_nonzero_element1(rng: random.Random) -> Element1:
-    while True:
-        e = random_element1(rng)
-        if not e.is_zero():
-            return e
-
-
 def random_element_n(rng: random.Random, n: int) -> ElementN:
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -72,11 +65,3 @@ def random_weyl_word(rng: random.Random, n: int, max_len: int = 3) -> ElementN:
         factor = rng.randint(1, n)
         word = word * lift(factor, Element1.from_generator(name), n)
     return word
-
-
-def random_poly_n(rng: random.Random, n: int, max_degree: int = 3) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for _ in range(rng.randint(1, 3)):
-        key = tuple(rng.randint(0, max_degree) for _ in range(n))
-        out[key] = out.get(key, 0) + _coeff(rng)
-    return {k: c for k, c in out.items() if c}

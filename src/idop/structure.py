@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import Atom, Element1
+from .element import Atom, Element1, _index
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -204,6 +204,7 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
         raise ValueError("at least one generator is required")
     if any(g.is_zero() for g in generators):
         raise ValueError("generators must be nonzero")
+    i_max = _index(i_max, "i_max")
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     if i_max > MAX_FILTRATION_INDEX:

@@ -6,9 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from idop.cli import main
 
 DATA = Path(__file__).parent / "data"
+
+
+def module_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -236,6 +245,17 @@ class TestVerify:
             assert len(err.splitlines()) == 1
             assert "--samples" in err
 
+    def test_all_suites_match_golden_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert out == (DATA / "verify_all.golden.txt").read_text()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_socle_with_few_samples(self, capsys, seed):
+        # zero Weyl products are redrawn, so a small sample cannot fail by chance
+        code, out, _ = run(capsys, "verify", "--suite", "socle", "--samples", "10", "--seed", str(seed))
+        assert code == 0, out
+
     def test_failure_exits_two(self, capsys, monkeypatch):
         import idop.verify as verify
 
@@ -259,12 +279,27 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_python_dash_m(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "idop", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=module_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: idop")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "relations", "--format", "json"],  # still buffered at return
+            ["matrix", "x", "--size", "64", "--format", "json"],  # written while running
+        ],
+    )
+    def test_closed_stdout(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "idop", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1

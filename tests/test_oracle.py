@@ -156,13 +156,23 @@ class TestTensorMatrix:
         with pytest.raises(ValueError, match="exceeds the budget"):
             to_matrix_n(lift(1, D, 3), 17)
         assert TruncMatrix(5, 3).dim == 125  # the largest matrix the checks use
+        assert TruncMatrix(True, True).dim == 1  # a bool reads as an int, as everywhere else
 
     @pytest.mark.parametrize(
-        "rank, error", [(0, ValueError), (-1, ValueError), (1.5, TypeError), ("2", TypeError)]
+        "size, rank, error",
+        [
+            pytest.param(3, rank, error, id=f"{rank}-{error.__name__}")
+            for rank, error in [(0, ValueError), (-1, ValueError), (1.5, TypeError), ("2", TypeError)]
+        ]
+        + [
+            pytest.param(size, 1, error, id=f"size={size!r}")
+            for size, error in [(0, ValueError), (2.5, TypeError), ("3", TypeError)]
+        ],
     )
-    def test_rank_must_be_a_positive_integer(self, rank, error):
-        with pytest.raises(error, match="^rank must be") as info:
-            TruncMatrix(3, rank)
+    def test_rank_must_be_a_positive_integer(self, size, rank, error):
+        what = "rank" if size == 3 else "size"
+        with pytest.raises(error, match=f"^{what} must be") as info:
+            TruncMatrix(size, rank)
         assert "\n" not in str(info.value)
 
     @given(elements_n())

@@ -259,6 +259,10 @@ class TestFiltrationDims:
             bimodule_filtration_dims([Element1.zero()], 3)
         with pytest.raises(ValueError):
             bimodule_filtration_dims([Element1.one()], 17)
+        for i_max in (2.5, "3"):
+            with pytest.raises(TypeError, match="^i_max must be an integer, got "):
+                bimodule_filtration_dims([Element1.one()], i_max)
+        assert bimodule_filtration_dims([Element1.one()], True) == [1, 3]
 
 
 class TestMultiplicityReport:
