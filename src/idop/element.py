@@ -419,6 +419,26 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
     return Element1(fpart={(u, z): 1})
 
 
+ATOM_PRODUCT_CAP = 16384  # entries; later products are computed, not stored
+
+_ATOM_PRODUCTS: dict[Tuple[Atom, Atom], Tuple[Tuple[Atom, Scalar], ...]] = {}
+
+
+def atom_product(left: Atom, right: Atom) -> Tuple[Tuple[Atom, Scalar], ...]:
+    """The (atom, coefficient) terms of atom_mul(left, right), memoized.
+
+    Filled lazily, and only while it holds fewer than ATOM_PRODUCT_CAP
+    entries; a miss calls atom_mul through this module's attribute, so a
+    wrapper installed there sees it."""
+    key = (left, right)
+    terms = _ATOM_PRODUCTS.get(key)
+    if terms is None:
+        terms = tuple(atom_mul(left, right).atoms())
+        if len(_ATOM_PRODUCTS) < ATOM_PRODUCT_CAP:
+            _ATOM_PRODUCTS[key] = terms
+    return terms
+
+
 def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
     """Action of a basis atom on the monomial x^s: the resulting (coefficient, exponent).
 

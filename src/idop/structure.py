@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import Atom, Element1, _index
+from .element import Atom, Element1, _index, atom_product
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -169,6 +169,41 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
     return ((same * h_diff).is_zero(), not (other * h_diff).is_zero())
 
 
+X_ATOM: Atom = ("v", 1, 1)  # x = I*H
+D_ATOM: Atom = ("v", -1, 0)
+
+Row = dict[Atom, Scalar]  # the support vector of an operator
+
+
+def _left_move(atom: Atom, row: Row) -> Row:
+    """The support row of atom * k, given the support row of k."""
+    out: Row = {}
+    get = out.get
+    for a, c in row.items():
+        for b, p in atom_product(atom, a):
+            out[b] = get(b, 0) + c * p
+    return {b: v for b, v in out.items() if v}
+
+
+def _right_move(row: Row, atom: Atom) -> Row:
+    """The support row of k * atom, given the support row of k."""
+    out: Row = {}
+    get = out.get
+    for a, c in row.items():
+        for b, p in atom_product(a, atom):
+            out[b] = get(b, 0) + c * p
+    return {b: v for b, v in out.items() if v}
+
+
+# The filtration moves on support rows: 0 = x k, 1 = d k, 2 = k d, 3 = k x.
+ROW_MOVES = (
+    lambda k: _left_move(X_ATOM, k),
+    lambda k: _left_move(D_ATOM, k),
+    lambda k: _right_move(k, D_ATOM),
+    lambda k: _right_move(k, X_ATOM),
+)
+
+
 def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list[int]:
     """Dimensions of V_i = span{x^a d^b g x^c d^e : g in generators, a+b+c+e <= i}.
 
@@ -198,7 +233,9 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     elements, so that the elements allowing the fewest extensions are kept
     first; any order gives the same spans.  Each dimension is an exact
     rational rank over the union of support atoms; the result is
-    nondecreasing and independent of generator order.
+    nondecreasing and independent of generator order.  Kept elements are held
+    as support rows, and each move (ROW_MOVES) is a sparse sum over the
+    memoized atom products of element.atom_product.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -211,17 +248,15 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
         raise ValueError(
             f"i_max={i_max} exceeds the desk-scale budget ({MAX_FILTRATION_INDEX})"
         )
-    x = Element1.from_generator("x")
-    d = Element1.from_generator("d")
-    moves = (lambda k: x * k, lambda k: d * k, lambda k: k * d, lambda k: k * x)
     red = RowReducer()
-    fresh = [(g, 3) for g in generators if red.add(g.support_vector())]
+    rows = (g.support_vector() for g in generators)
+    fresh = [(row, 3) for row in rows if red.add(row)]
     dims = [red.rank]
     for _ in range(i_max):
         candidates = (
-            (move(k), m) for m, move in enumerate(moves) for k, tag in fresh if m <= tag
+            (move(k), m) for m, move in enumerate(ROW_MOVES) for k, tag in fresh if m <= tag
         )
-        fresh = [(c, m) for c, m in candidates if red.add(c.support_vector())]
+        fresh = [(c, m) for c, m in candidates if red.add(c)]
         dims.append(red.rank)
     return dims
 

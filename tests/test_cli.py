@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,13 @@ class TestDims:
         assert minus[0] == 0
         assert minus == run(capsys, "dims", "--gen", "x", "--max", "3")
 
+    @pytest.mark.parametrize("gen, name", [("1,I", "dims_one_i"), ("e(0,0)", "dims_e00")])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_matches_golden_output(self, capsys, gen, name, fmt, suffix):
+        code, out, err = run(capsys, "dims", "--gen", gen, "--max", "16", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
+
 
 class TestVerify:
     def test_relations_suite(self, capsys):
@@ -244,6 +252,36 @@ class TestVerify:
             assert out == ""
             assert len(err.splitlines()) == 1
             assert "--samples" in err
+
+    @pytest.mark.parametrize("samples", [0, -1, 1.5])
+    def test_library_samples_must_be_positive_integer(self, monkeypatch, samples):
+        import idop.verify as verify
+
+        def unreachable(seed=0, samples=None):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setitem(verify.SUITES, "relations", unreachable)
+        with pytest.raises(ValueError) as info:
+            verify.run_suites(["relations"], samples=samples)
+        assert str(info.value) == f"samples must be a positive integer, got {samples!r}"
+
+    def test_timings_go_to_stderr(self, capsys):
+        plain = run(capsys, "verify", "--suite", "relations")
+        code, out, err = run(capsys, "verify", "--suite", "relations", "--timings")
+        assert (code, out) == plain[:2]
+        names = [line.split(" ", 1)[1] for line in out.splitlines()[:-1]]
+        lines = err.splitlines()
+        assert [line.split("s ", 1)[1] for line in lines] == names
+        assert all(re.fullmatch(r"\d+\.\d{3}s relations: .+", line) for line in lines)
+
+    def test_timings_json_field(self, capsys):
+        plain = json.loads(run(capsys, "verify", "--suite", "dims", "--format", "json")[1])
+        code, out, err = run(capsys, "verify", "--suite", "dims", "--format", "json", "--timings")
+        timed = json.loads(out)
+        assert (code, err) == (0, "")
+        seconds = [check.pop("seconds") for check in timed["checks"]]
+        assert timed == plain
+        assert all(isinstance(t, float) and t >= 0 for t in seconds)
 
     def test_all_suites_match_golden_output(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")

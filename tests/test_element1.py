@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idop.element import Element1, atom_mul, from_atoms
+from idop.element import Element1, atom_mul, atom_product, from_atoms
 from idop.oracle import consistent, to_matrix
 from idop.tensor import BnElement, apply_n, lift, project_bn
-from conftest import elements1, polys1
+from conftest import atoms, elements1, polys1
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -58,6 +59,16 @@ class TestAtomMul:
             for at2, c2 in b.atoms():
                 expected = expected + (c1 * c2) * atom_mul(at1, at2)
         assert a * b == expected
+
+
+class TestAtomProduct:
+    @given(st.lists(st.tuples(atoms, atoms), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_memoizes_atom_mul(self, pairs):
+        for left, right in pairs:
+            terms = atom_product(left, right)
+            assert terms == tuple(atom_mul(left, right).atoms())
+            assert atom_product(left, right) is terms
 
 
 class TestArithmetic:

@@ -3,15 +3,19 @@ exact dimension engine."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idop.element as element
+import idop.structure as structure
 from idop.element import Element1
 from idop.oracle import RowReducer, to_matrix
 from idop.sampling import random_nonzero_element_n, random_weyl_word
 from idop.structure import (
+    ROW_MOVES,
     MultiplicityReport,
     bimodule_filtration_dims,
     census,
@@ -235,6 +239,47 @@ class TestFiltrationDims:
         g2 = 8 * e(2, 5) - e(0, 5)
         assert bimodule_filtration_dims([g1, g2], 8)[-1] == 278
         assert calls == 353
+
+    @given(
+        nonzero_elements1(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+    )
+    @example(I * H + e(1, 2), Fraction(1, 2))
+    @example(D.power(3) * H - 3 * e(0, 2) + e(4, 0), Fraction(-2, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_row_moves_match_element1_products(self, k, scale):
+        k = k.scale(scale)
+        products = (X * k, D * k, k * D, k * X)  # moves 0, 1, 2, 3
+        for move, product in zip(ROW_MOVES, products):
+            assert move(k.support_vector()) == product.support_vector()
+
+    def test_capped_atom_table(self, monkeypatch):
+        monkeypatch.setattr(element, "_ATOM_PRODUCTS", {})
+        monkeypatch.setattr(element, "ATOM_PRODUCT_CAP", 4)
+        assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
+        assert len(element._ATOM_PRODUCTS) == 4
+
+    def test_word_enumeration_uses_element1_products(self, monkeypatch):
+        # the reference shares no atom products with the engine it checks
+        def unused(*args):
+            raise AssertionError("atom products were used")
+
+        monkeypatch.setattr(structure, "atom_product", unused)
+        monkeypatch.setattr(element, "atom_product", unused)
+        monkeypatch.setattr(element, "atom_mul", unused)
+        products = 0
+        mul = Element1.__mul__
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Element1, "__mul__", counting_mul)
+        assert brute_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
+        assert products > 0
+        with pytest.raises(AssertionError, match="atom products"):
+            bimodule_filtration_dims([Element1.one(), I], 1)
 
     def test_e00_generator(self):
         dims = bimodule_filtration_dims([E00], 6)
