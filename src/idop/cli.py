@@ -106,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_positive_int, default=None, help="override randomized sample counts"
     )
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="report each check's duration (stderr in text mode, a JSON field otherwise)",
-    )
     return parser
 
 
@@ -234,15 +229,12 @@ def _cmd_verify(args) -> int:
     results = run_suites(names, seed=args.seed, samples=args.samples)
     passed = sum(1 for _, c in results if c.ok)
     if args.format == "json":
-        checks = []
-        for s, c in results:
-            entry = {"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
-            if args.timings:
-                entry["seconds"] = c.seconds
-            checks.append(entry)
         payload = {
             "suites": names,
-            "checks": checks,
+            "checks": [
+                {"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
+                for s, c in results
+            ],
             "passed": passed,
             "total": len(results),
         }
@@ -253,8 +245,6 @@ def _cmd_verify(args) -> int:
             if not c.ok and c.detail:
                 line += f" -- {c.detail}"
             print(line)
-            if args.timings:
-                print(f"{c.seconds:.3f}s {s}: {c.name}", file=sys.stderr)
         print(f"{passed}/{len(results)} checks passed")
     return 0 if passed == len(results) else 2
 

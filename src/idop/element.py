@@ -419,6 +419,9 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
     return Element1(fpart={(u, z): 1})
 
 
+X_ATOM: Atom = ("v", 1, 1)  # x = I*H
+D_ATOM: Atom = ("v", -1, 0)
+
 ATOM_PRODUCT_CAP = 16384  # entries; later products are computed, not stored
 
 _ATOM_PRODUCTS: dict[Tuple[Atom, Atom], Tuple[Tuple[Atom, Scalar], ...]] = {}
@@ -428,15 +431,54 @@ def atom_product(left: Atom, right: Atom) -> Tuple[Tuple[Atom, Scalar], ...]:
     """The (atom, coefficient) terms of atom_mul(left, right), memoized.
 
     Filled lazily, and only while it holds fewer than ATOM_PRODUCT_CAP
-    entries; a miss calls atom_mul through this module's attribute, so a
-    wrapper installed there sees it."""
+    entries.  A miss with x or d as a factor is written down in closed form
+    (_generator_product); any other miss calls atom_mul through this module's
+    attribute, so a wrapper installed there sees it."""
     key = (left, right)
     terms = _ATOM_PRODUCTS.get(key)
     if terms is None:
-        terms = tuple(atom_mul(left, right).atoms())
+        terms = _generator_product(left, right)
+        if terms is None:
+            terms = tuple(atom_mul(left, right).atoms())
         if len(_ATOM_PRODUCTS) < ATOM_PRODUCT_CAP:
             _ATOM_PRODUCTS[key] = terms
     return terms
+
+
+def _generator_product(left: Atom, right: Atom) -> Optional[Tuple[Tuple[Atom, Scalar], ...]]:
+    """atom_mul's terms, in its order, when left or right is x or d; else None.
+
+    atom_mul's rules specialize to
+      x v_j H^t = v_{j+1} (j H^t + H^{t+1})    x e(s,t) = (s+1) e(s+1,t)
+      d v_j H^t = v_{j-1} H^t                  d e(s,t) = e(s-1,t)   (0 if s = 0)
+      v_i H^s d = v_{i-1} (H-1)^s - [i > 0, s = 0] e(i-1,0)
+      v_i H^s x = v_{i+1} (H+1)^s H            e(s,t) d = e(s,t+1)
+      e(s,t) x  = t e(s,t-1)                   (0 if t = 0)
+    x v_j H^t has no e-unit: for j = -m < 0, atom_mul's one candidate has
+    coefficient (m + j) m^t = 0."""
+    if left == X_ATOM or left == D_ATOM:
+        tag, j, t = right
+        if left == D_ATOM:
+            if tag == "e" and j == 0:
+                return ()
+            return (((tag, j - 1, t), 1),)
+        if tag == "e":
+            return ((("e", j + 1, t), j + 1),)
+        if j == 0:
+            return ((("v", 1, t + 1), 1),)
+        return ((("v", j + 1, t), j), (("v", j + 1, t + 1), 1))
+    if right == X_ATOM or right == D_ATOM:
+        tag, i, s = left
+        if tag == "e":
+            if right == D_ATOM:
+                return ((("e", i, s + 1), 1),)
+            return ((("e", i, s - 1), s),) if s else ()
+        if right == X_ATOM:
+            return tuple((("v", i + 1, u + 1), math.comb(s, u)) for u in range(s + 1))
+        if i > 0 and s == 0:
+            return ((("v", i - 1, 0), 1), (("e", i - 1, 0), -1))
+        return tuple((("v", i - 1, u), math.comb(s, u) * (-1) ** (s - u)) for u in range(s + 1))
+    return None
 
 
 def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:

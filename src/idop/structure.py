@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import Atom, Element1, _index, atom_product
+from .element import D_ATOM, X_ATOM, Atom, Element1, _index, atom_product
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -169,38 +169,25 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
     return ((same * h_diff).is_zero(), not (other * h_diff).is_zero())
 
 
-X_ATOM: Atom = ("v", 1, 1)  # x = I*H
-D_ATOM: Atom = ("v", -1, 0)
-
 Row = dict[Atom, Scalar]  # the support vector of an operator
 
 
-def _left_move(atom: Atom, row: Row) -> Row:
-    """The support row of atom * k, given the support row of k."""
+def _move(row: Row, atom: Atom, on_left: bool) -> Row:
+    """The support row of atom * k (on_left) or k * atom, given the support row of k."""
     out: Row = {}
     get = out.get
     for a, c in row.items():
-        for b, p in atom_product(atom, a):
-            out[b] = get(b, 0) + c * p
-    return {b: v for b, v in out.items() if v}
-
-
-def _right_move(row: Row, atom: Atom) -> Row:
-    """The support row of k * atom, given the support row of k."""
-    out: Row = {}
-    get = out.get
-    for a, c in row.items():
-        for b, p in atom_product(a, atom):
+        for b, p in atom_product(atom, a) if on_left else atom_product(a, atom):
             out[b] = get(b, 0) + c * p
     return {b: v for b, v in out.items() if v}
 
 
 # The filtration moves on support rows: 0 = x k, 1 = d k, 2 = k d, 3 = k x.
 ROW_MOVES = (
-    lambda k: _left_move(X_ATOM, k),
-    lambda k: _left_move(D_ATOM, k),
-    lambda k: _right_move(k, D_ATOM),
-    lambda k: _right_move(k, X_ATOM),
+    lambda k: _move(k, X_ATOM, True),
+    lambda k: _move(k, D_ATOM, True),
+    lambda k: _move(k, D_ATOM, False),
+    lambda k: _move(k, X_ATOM, False),
 )
 
 

@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,24 +263,6 @@ class TestVerify:
         with pytest.raises(ValueError) as info:
             verify.run_suites(["relations"], samples=samples)
         assert str(info.value) == f"samples must be a positive integer, got {samples!r}"
-
-    def test_timings_go_to_stderr(self, capsys):
-        plain = run(capsys, "verify", "--suite", "relations")
-        code, out, err = run(capsys, "verify", "--suite", "relations", "--timings")
-        assert (code, out) == plain[:2]
-        names = [line.split(" ", 1)[1] for line in out.splitlines()[:-1]]
-        lines = err.splitlines()
-        assert [line.split("s ", 1)[1] for line in lines] == names
-        assert all(re.fullmatch(r"\d+\.\d{3}s relations: .+", line) for line in lines)
-
-    def test_timings_json_field(self, capsys):
-        plain = json.loads(run(capsys, "verify", "--suite", "dims", "--format", "json")[1])
-        code, out, err = run(capsys, "verify", "--suite", "dims", "--format", "json", "--timings")
-        timed = json.loads(out)
-        assert (code, err) == (0, "")
-        seconds = [check.pop("seconds") for check in timed["checks"]]
-        assert timed == plain
-        assert all(isinstance(t, float) and t >= 0 for t in seconds)
 
     def test_all_suites_match_golden_output(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idop.element import Element1, atom_mul, atom_product, from_atoms
+import idop.element as element
+from idop.element import D_ATOM, X_ATOM, Element1, atom_mul, atom_product, from_atoms
 from idop.oracle import consistent, to_matrix
 from idop.tensor import BnElement, apply_n, lift, project_bn
 from conftest import atoms, elements1, polys1
@@ -69,6 +70,21 @@ class TestAtomProduct:
             terms = atom_product(left, right)
             assert terms == tuple(atom_mul(left, right).atoms())
             assert atom_product(left, right) is terms
+
+    def test_generator_products_in_closed_form(self, monkeypatch):
+        # every product with x or d on either side, on a fresh table, in
+        # atom_mul's term order and without calling atom_mul
+        def unused(*args):
+            raise AssertionError("atom_mul was called")
+
+        monkeypatch.setattr(element, "_ATOM_PRODUCTS", {})
+        monkeypatch.setattr(element, "atom_mul", unused)
+        grid = [("v", i, t) for i in range(-6, 7) for t in range(8)]
+        grid += [("e", s, t) for s in range(7) for t in range(7)]
+        for g in (X_ATOM, D_ATOM):
+            for a in grid:
+                for left, right in ((g, a), (a, g)):
+                    assert atom_product(left, right) == tuple(atom_mul(left, right).atoms())
 
 
 class TestArithmetic:
