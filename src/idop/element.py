@@ -422,29 +422,6 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
 X_ATOM: Atom = ("v", 1, 1)  # x = I*H
 D_ATOM: Atom = ("v", -1, 0)
 
-ATOM_PRODUCT_CAP = 16384  # entries; later products are computed, not stored
-
-_ATOM_PRODUCTS: dict[Tuple[Atom, Atom], Tuple[Tuple[Atom, Scalar], ...]] = {}
-
-
-def atom_product(left: Atom, right: Atom) -> Tuple[Tuple[Atom, Scalar], ...]:
-    """The (atom, coefficient) terms of atom_mul(left, right), memoized.
-
-    Filled lazily, and only while it holds fewer than ATOM_PRODUCT_CAP
-    entries.  A miss with x or d as a factor is written down in closed form
-    (_generator_product); any other miss calls atom_mul through this module's
-    attribute, so a wrapper installed there sees it."""
-    key = (left, right)
-    terms = _ATOM_PRODUCTS.get(key)
-    if terms is None:
-        terms = _generator_product(left, right)
-        if terms is None:
-            terms = tuple(atom_mul(left, right).atoms())
-        if len(_ATOM_PRODUCTS) < ATOM_PRODUCT_CAP:
-            _ATOM_PRODUCTS[key] = terms
-    return terms
-
-
 def _generator_product(left: Atom, right: Atom) -> Optional[Tuple[Tuple[Atom, Scalar], ...]]:
     """atom_mul's terms, in its order, when left or right is x or d; else None.
 

@@ -299,12 +299,14 @@ class RowReducer:
     leading (smallest) key, and no two stored rows share a leading key.  A new
     row is cleared to integers and then, while its leading key belongs to a
     stored row, cross-multiplied against that one row by the two leading
-    entries divided by their gcd (never dividing a row) and stripped of
-    content; it is stored once it leads with a fresh key, or dropped when it
-    vanishes.  Stored rows are not reduced against each other below their
-    leading keys: the echelon form is enough for the rank, and every
-    intermediate value stays an exact integer.  Insertion order does not
-    affect the final rank.
+    entries divided by their gcd (never dividing a row); it is stripped of
+    content and stored once it leads with a fresh key, or dropped when it
+    vanishes.  Each intermediate row is a positive multiple of the one that
+    stripping after every step would give, so stripping once, at the end,
+    stores the same rows with the same signs.  Stored rows are not reduced
+    against each other below their leading keys: the echelon form is enough
+    for the rank, and every intermediate value stays an exact integer.
+    Insertion order does not affect the final rank.
     """
 
     __slots__ = ("_pivots",)
@@ -329,7 +331,7 @@ class RowReducer:
             pk = min(r)
             prow = pivots.get(pk)
             if prow is None:
-                pivots[pk] = r
+                pivots[pk] = _strip_content(r)
                 return True
             c, p = r[pk], prow[pk]
             g = math.gcd(c, p) if p > 0 else -math.gcd(c, p)
@@ -342,28 +344,23 @@ class RowReducer:
                     r[k] = d
                 else:
                     r.pop(k, None)
-            r = _strip_content(r)
         return False
 
 
 def _integer_row(row: Mapping) -> dict:
-    out = {k: v for k, v in row.items() if v}
-    if not all(type(v) is int for v in out.values()):
+    out = dict(row)
+    if 0 in out.values():
+        out = {k: v for k, v in out.items() if v}
+    if set(map(type, out.values())) - {int}:
         vals = {k: exact(v) for k, v in out.items()}
         denom = math.lcm(*(v.denominator for v in vals.values()))
         out = {k: int(v * denom) for k, v in vals.items()}
-    return _strip_content(out)
+    return out
 
 
 def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
-    if g <= 1:
-        return row
-    return {k: v // g for k, v in row.items()}
+    g = math.gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def exact_rank(rows: Iterable) -> int:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import D_ATOM, X_ATOM, Atom, Element1, _index, atom_product
+from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -169,26 +169,63 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
     return ((same * h_diff).is_zero(), not (other * h_diff).is_zero())
 
 
-Row = dict[Atom, Scalar]  # the support vector of an operator
+Row = dict[int, Scalar]  # the support vector of an operator, over column ids
+
+# The filtration's columns, shared by every call in the process.  Each atom
+# gets a smaller id than every atom registered before it, so a row's smallest
+# id (RowReducer's pivot) is its newest atom.  _MOVE_TABLES[m] maps a column
+# to the (column, coefficient) terms of move m applied to its atom.  The
+# registry is cleared at the start of a call once it holds COLUMN_CAP columns.
+COLUMN_CAP = 16384
+
+_COLUMNS: dict[Atom, int] = {}
+_ATOMS: list[Atom] = []  # _ATOMS[-c] is the atom of column c
+_MOVE_TABLES: Tuple[dict[int, Tuple[Tuple[int, Scalar], ...]], ...] = ({}, {}, {}, {})
+
+# The filtration moves: 0 = x k, 1 = d k, 2 = k d, 3 = k x.
+_MOVE_FACTORS = ((X_ATOM, True), (D_ATOM, True), (D_ATOM, False), (X_ATOM, False))
 
 
-def _move(row: Row, atom: Atom, on_left: bool) -> Row:
-    """The support row of atom * k (on_left) or k * atom, given the support row of k."""
+def _column(atom: Atom) -> int:
+    c = _COLUMNS.get(atom)
+    if c is None:
+        c = _COLUMNS[atom] = -len(_ATOMS)
+        _ATOMS.append(atom)
+    return c
+
+
+def _reset_columns() -> None:
+    _COLUMNS.clear()
+    _ATOMS.clear()
+    for table in _MOVE_TABLES:
+        table.clear()
+
+
+def _row(e: Element1) -> Row:
+    return {_column(a): c for a, c in e.atoms()}
+
+
+def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
+    g, on_left = _MOVE_FACTORS[m]
+    atom = _ATOMS[-column]
+    terms = _generator_product(g, atom) if on_left else _generator_product(atom, g)
+    terms = tuple((_column(b), p) for b, p in terms)
+    _MOVE_TABLES[m][column] = terms
+    return terms
+
+
+def _move(row: Row, m: int) -> Row:
+    """The row of move m applied to the operator whose row is given."""
+    table = _MOVE_TABLES[m]
     out: Row = {}
     get = out.get
     for a, c in row.items():
-        for b, p in atom_product(atom, a) if on_left else atom_product(a, atom):
+        terms = table.get(a)
+        if terms is None:
+            terms = _move_terms(m, a)
+        for b, p in terms:
             out[b] = get(b, 0) + c * p
     return {b: v for b, v in out.items() if v}
-
-
-# The filtration moves on support rows: 0 = x k, 1 = d k, 2 = k d, 3 = k x.
-ROW_MOVES = (
-    lambda k: _move(k, X_ATOM, True),
-    lambda k: _move(k, D_ATOM, True),
-    lambda k: _move(k, D_ATOM, False),
-    lambda k: _move(k, X_ATOM, False),
-)
 
 
 def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list[int]:
@@ -221,8 +258,10 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     first; any order gives the same spans.  Each dimension is an exact
     rational rank over the union of support atoms; the result is
     nondecreasing and independent of generator order.  Kept elements are held
-    as support rows, and each move (ROW_MOVES) is a sparse sum over the
-    memoized atom products of element.atom_product.
+    as support rows over the process-wide column ids (_COLUMNS), and each move
+    is a sparse sum over that move's column table, filled in closed form by
+    element._generator_product.  The newest atom of a row leads it in the
+    RowReducer.  As the tables are shared, calls must not run concurrently.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -235,13 +274,15 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
         raise ValueError(
             f"i_max={i_max} exceeds the desk-scale budget ({MAX_FILTRATION_INDEX})"
         )
+    if len(_ATOMS) >= COLUMN_CAP:
+        _reset_columns()
     red = RowReducer()
-    rows = (g.support_vector() for g in generators)
+    rows = (_row(g) for g in generators)
     fresh = [(row, 3) for row in rows if red.add(row)]
     dims = [red.rank]
     for _ in range(i_max):
         candidates = (
-            (move(k), m) for m, move in enumerate(ROW_MOVES) for k, tag in fresh if m <= tag
+            (_move(k, m), m) for m in range(4) for k, tag in fresh if m <= tag
         )
         fresh = [(c, m) for c, m in candidates if red.add(c)]
         dims.append(red.rank)

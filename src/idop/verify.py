@@ -364,6 +364,9 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 def run_suites(names: list[str], seed: int = 0, samples: Optional[int] = None) -> list[tuple[str, Check]]:
     if samples is not None and (not isinstance(samples, int) or samples < 1):
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; known suites: {', '.join(sorted(SUITES))}")
     out = []
     for name in names:
         for check in SUITES[name](seed=seed, samples=samples):

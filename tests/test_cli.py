@@ -264,6 +264,18 @@ class TestVerify:
             verify.run_suites(["relations"], samples=samples)
         assert str(info.value) == f"samples must be a positive integer, got {samples!r}"
 
+    def test_library_rejects_unknown_suite(self, monkeypatch):
+        import idop.verify as verify
+
+        def unreachable(seed=0, samples=None):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setitem(verify.SUITES, "relations", unreachable)
+        with pytest.raises(ValueError) as info:
+            verify.run_suites(["relations", "nope"])
+        known = ", ".join(sorted(verify.SUITES))
+        assert str(info.value) == f"unknown suite 'nope'; known suites: {known}"
+
     def test_all_suites_match_golden_output(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0

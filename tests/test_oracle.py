@@ -39,6 +39,48 @@ def atom_rows():
     return st.lists(st.one_of(products, st.dictionaries(atoms, fractions, max_size=3)), max_size=8)
 
 
+@st.composite
+def sparse_rows(draw, keys):
+    """Sparse rational rows over one kind of key, some with content, some dependent."""
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = draw(st.lists(st.dictionaries(keys, values, max_size=5), max_size=8))
+    scales = st.integers(min_value=-60, max_value=60).filter(bool)
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if len(rows) >= 2 else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        ka, kb = draw(scales), draw(scales)
+        rows.append({k: ka * a.get(k, 0) + kb * b.get(k, 0) for k in a.keys() | b.keys()})
+    factors = draw(st.lists(scales, min_size=len(rows), max_size=len(rows)))
+    return [{k: f * v for k, v in row.items()} for f, row in zip(factors, rows)]
+
+
+def step_strip_pivots(rows) -> tuple[dict, list[bool]]:
+    """The stored rows and verdicts of an echelon reducer that strips the content
+    after every elimination step, and cancels with p * r - c * prow (made positive)."""
+
+    def primitive(row):
+        g = math.gcd(*row.values())
+        return {k: v // g for k, v in row.items()}
+
+    pivots, kept = {}, []
+    for row in rows:
+        vals = {k: Fraction(v) for k, v in row.items() if v}
+        denom = math.lcm(*(v.denominator for v in vals.values()))
+        r = primitive({k: int(v * denom) for k, v in vals.items()}) if vals else {}
+        while r:
+            pk = min(r)
+            prow = pivots.get(pk)
+            if prow is None:
+                pivots[pk] = r
+                break
+            c, p = r[pk], prow[pk]
+            sign = 1 if p > 0 else -1
+            r = {k: sign * (p * r.get(k, 0) - c * prow.get(k, 0)) for k in r.keys() | prow.keys()}
+            r = {k: v for k, v in r.items() if v}
+            r = primitive(r) if r else r
+        kept.append(bool(r))
+    return pivots, kept
+
+
 class TestToMatrix:
     def test_eunit_is_elementary(self):
         assert to_matrix(e(1, 2), 4) == elementary_matrix(1, 2, 4)
@@ -271,6 +313,17 @@ class TestExactRank:
             entries = [sympy.Rational(row.get(k, 0)) for row in rows for k in keys]
             want = sympy.Matrix(len(rows), len(keys), entries).rank()
         assert exact_rank(rows) == want
+
+    @given(st.one_of(sparse_rows(st.integers(min_value=-6, max_value=6)), sparse_rows(atoms)))
+    @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])
+    @example([{0: 2, 1: 3}, {0: -4, 1: 1, 2: 6}, {0: 6, 1: 5, 2: 6}])
+    @settings(max_examples=150, deadline=None)
+    def test_stored_rows_match_step_strip_reference(self, rows):
+        # stripping content only when a row is stored leaves every stored row,
+        # its sign and every verdict as stripping after each step does
+        red = RowReducer()
+        kept = [red.add(row) for row in rows]
+        assert (red._pivots, kept) == step_strip_pivots(rows)
 
     @given(atom_rows())
     @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])  # elimination leaves content 2

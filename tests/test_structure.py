@@ -15,7 +15,6 @@ from idop.element import Element1
 from idop.oracle import RowReducer, to_matrix
 from idop.sampling import random_nonzero_element_n, random_weyl_word
 from idop.structure import (
-    ROW_MOVES,
     MultiplicityReport,
     bimodule_filtration_dims,
     census,
@@ -42,6 +41,12 @@ E00 = Element1(fpart={(0, 0): 1})
 
 def e(s, t):
     return Element1(fpart={(s, t): 1})
+
+
+TWO_GENERATORS = [
+    3 * D.power(3) * H.power(3) + 8 * I.power(2) * H.power(2) - 5 * e(4, 5),
+    8 * e(2, 5) - e(0, 5),
+]
 
 
 class TestSplit:
@@ -187,6 +192,33 @@ def brute_filtration_dims(generators, i_max):
     return dims
 
 
+@pytest.fixture
+def fresh_columns(monkeypatch):
+    """An empty column registry for one test; the process-wide one is put back after."""
+    monkeypatch.setattr(structure, "_COLUMNS", {})
+    monkeypatch.setattr(structure, "_ATOMS", [])
+    monkeypatch.setattr(structure, "_MOVE_TABLES", ({}, {}, {}, {}))
+
+
+def count_rows_added(monkeypatch):
+    """Count RowReducer.add calls; the returned function reads and resets the count."""
+    calls = 0
+    add = RowReducer.add
+
+    def counting_add(self, row):
+        nonlocal calls
+        calls += 1
+        return add(self, row)
+
+    def read():
+        nonlocal calls
+        n, calls = calls, 0
+        return n
+
+    monkeypatch.setattr(RowReducer, "add", counting_add)
+    return read
+
+
 @st.composite
 def generator_sets(draw):
     """1-3 nonzero generators; the last may repeat a scaled or summed earlier one."""
@@ -216,29 +248,45 @@ class TestFiltrationDims:
     def test_rows_added_per_level(self, monkeypatch):
         # only the elements kept at the previous level are extended, and only
         # by the moves that keep their words x^a d^b g x^c d^e normal
-        calls = 0
-        add = RowReducer.add
-
-        def counting_add(self, row):
-            nonlocal calls
-            calls += 1
-            return add(self, row)
-
-        monkeypatch.setattr(RowReducer, "add", counting_add)
+        calls = count_rows_added(monkeypatch)
         dims = bimodule_filtration_dims([Element1.one(), I], 16)
         assert dims[:15] == FILTRATION_DIMS_ONE_I
-        assert calls == 490
-        calls = 0
+        assert calls() == 490
         assert bimodule_filtration_dims([E00], 16)[-1] == 153
-        assert calls == 170
+        assert calls() == 170
         # each move runs over all fresh elements before the next move does, so
         # that elements allowing few extensions are kept first; running all
         # moves of one element before the next element's would add 366 rows
-        calls = 0
-        g1 = 3 * D.power(3) * H.power(3) + 8 * I.power(2) * H.power(2) - 5 * e(4, 5)
-        g2 = 8 * e(2, 5) - e(0, 5)
-        assert bimodule_filtration_dims([g1, g2], 8)[-1] == 278
-        assert calls == 353
+        assert bimodule_filtration_dims(TWO_GENERATORS, 8)[-1] == 278
+        assert calls() == 353
+
+    def test_column_registry_state_does_not_change_results(self, monkeypatch, fresh_columns):
+        # the same dimensions and rows added on a fresh, a warm and a just-reset
+        # registry, also for generators whose atoms it has not seen yet
+        calls = count_rows_added(monkeypatch)
+        runs = [
+            ([Element1.one(), I], 16),
+            ([E00], 16),
+            (TWO_GENERATORS, 8),
+            ([D.power(5) * H.power(2) - e(6, 1)], 10),
+            ([I.power(7) + 4 * e(9, 0), D.power(4) * H], 9),
+        ]
+
+        def results(order=1):
+            return [(bimodule_filtration_dims(g, i_max), calls()) for g, i_max in runs[::order]]
+
+        fresh = []
+        for gens, i_max in runs:
+            structure._reset_columns()
+            fresh.append((bimodule_filtration_dims(gens, i_max), calls()))
+        structure._reset_columns()
+        bimodule_filtration_dims(runs[-1][0], 6)
+        calls()
+        # warm, with columns numbered in orders that the fresh runs never saw
+        assert results(-1) == fresh[::-1]
+        assert results() == fresh
+        monkeypatch.setattr(structure, "COLUMN_CAP", len(structure._ATOMS))
+        assert results() == fresh  # the first call clears the registry
 
     @given(
         nonzero_elements1(),
@@ -250,22 +298,26 @@ class TestFiltrationDims:
     def test_row_moves_match_element1_products(self, k, scale):
         k = k.scale(scale)
         products = (X * k, D * k, k * D, k * X)  # moves 0, 1, 2, 3
-        for move, product in zip(ROW_MOVES, products):
-            assert move(k.support_vector()) == product.support_vector()
+        for m, product in enumerate(products):
+            assert structure._move(structure._row(k), m) == structure._row(product)
 
-    def test_capped_atom_table(self, monkeypatch):
-        monkeypatch.setattr(element, "_ATOM_PRODUCTS", {})
-        monkeypatch.setattr(element, "ATOM_PRODUCT_CAP", 4)
+    def test_capped_atom_table(self, monkeypatch, fresh_columns):
+        # the registry may outgrow its cap within a call; the next call clears it
+        monkeypatch.setattr(structure, "COLUMN_CAP", 4)
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
-        assert len(element._ATOM_PRODUCTS) == 4
+        assert len(structure._ATOMS) > 4
+        assert bimodule_filtration_dims([E00], 0) == [1]
+        assert structure._ATOMS == [("e", 0, 0)]
+        assert structure._COLUMNS == {("e", 0, 0): 0}
+        assert not any(structure._MOVE_TABLES)
+        assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
 
-    def test_word_enumeration_uses_element1_products(self, monkeypatch):
+    def test_word_enumeration_uses_element1_products(self, monkeypatch, fresh_columns):
         # the reference shares no atom products with the engine it checks
         def unused(*args):
             raise AssertionError("atom products were used")
 
-        monkeypatch.setattr(structure, "atom_product", unused)
-        monkeypatch.setattr(element, "atom_product", unused)
+        monkeypatch.setattr(structure, "_generator_product", unused)
         monkeypatch.setattr(element, "atom_mul", unused)
         products = 0
         mul = Element1.__mul__
