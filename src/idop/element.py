@@ -11,6 +11,10 @@ matrix-unit-like elements spanning the unique proper two-sided ideal.
 Element1 stores exactly this form: a sparse map degree -> H-polynomial and a
 sparse map (s,t) -> coefficient.  Equality of stored forms is equality of
 operators.
+
+The rewrite rules are stated once, atom by atom, in atom_mul: every product
+is a sum of it over pairs of atoms, and _generator_product is its closed
+form for a factor x or d, which the filtration's move tables read.
 """
 
 from __future__ import annotations
@@ -118,6 +122,13 @@ class Element1:
         self.graded = g
         self.fpart = f
 
+    @staticmethod
+    def _make(graded: dict, fpart: dict) -> "Element1":
+        """Wrap already canonical graded and e-unit maps without checking them."""
+        out = Element1.__new__(Element1)
+        out.graded, out.fpart = graded, fpart
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -187,18 +198,16 @@ class Element1:
                 f[k] = d
             else:
                 f.pop(k, None)
-        out = Element1.__new__(Element1)
-        out.graded, out.fpart = g, f
-        return out
+        return Element1._make(g, f)
 
     def scale(self, c: Scalar) -> "Element1":
         c = hpoly.exact(c)
         if not c:
             return Element1()
-        out = Element1.__new__(Element1)
-        out.graded = {i: hpoly.scale(c, p) for i, p in self.graded.items()}
-        out.fpart = {k: c * v for k, v in self.fpart.items()}
-        return out
+        return Element1._make(
+            {i: hpoly.scale(c, p) for i, p in self.graded.items()},
+            {k: c * v for k, v in self.fpart.items()},
+        )
 
     def __rmul__(self, c: Scalar) -> "Element1":
         if isinstance(c, (int, Fraction)):
@@ -214,61 +223,20 @@ class Element1:
     # -- multiplication ----------------------------------------------------
 
     def __mul__(self, other: "Element1") -> "Element1":
-        """Product in canonical form, component-wise over the graded/e split.
-
-        Uses p(H) v_j = v_j p(H+j), the e-unit calculus, and the telescoped
-        expansion of I^a d^m; see atom_mul for the underlying atom rules.
-        """
+        """Product in canonical form: the sum of atom_mul over pairs of atoms."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element1):
             return NotImplemented
-        g: dict[int, dict[int, Scalar]] = {}
-        f: dict[Tuple[int, int], Scalar] = {}
-
-        def add_poly(deg: int, p: hpoly.HPoly) -> None:
-            acc = g.setdefault(deg, {})
-            for t, c in enumerate(p):
-                if c:
-                    acc[t] = acc.get(t, 0) + c
-
-        def add_e(key: Tuple[int, int], c: Scalar) -> None:
-            if c:
-                f[key] = f.get(key, 0) + c
-
-        for i, p in self.graded.items():
-            for j, q in other.graded.items():
-                r = hpoly.mul(hpoly.shift(p, j), q)  # v_i p(H) v_j q(H) = v_i v_j p(H+j) q(H)
-                add_poly(i + j, r)
-                if i > 0 and j < 0:
-                    # I^a d^m = v_{a-m} - sum of e-units along the diagonal
-                    a, m = i, -j
-                    ks, ts = max(a - m, 0), max(m - a, 0)
-                    for u in range(min(a, m)):
-                        add_e((u + ks, u + ts), -hpoly.evaluate(r, u + ts + 1))
-            for (u, v), c in other.fpart.items():
-                if u + i >= 0:  # v_i e(u,v) = e(u+i,v), killed when d-power exceeds u
-                    add_e((u + i, v), c * hpoly.evaluate(p, u + 1))
-        for (u, v), c in self.fpart.items():
-            for j, q in other.graded.items():
-                vv = v - j  # e(u,v) I = e(u,v-1); e(u,v) d = e(u,v+1)
-                if vv >= 0:
-                    add_e((u, vv), c * hpoly.evaluate(q, vv + 1))
-            for (w, z), dcoef in other.fpart.items():
-                if v == w:
-                    add_e((u, z), c * dcoef)
-
-        out = Element1.__new__(Element1)
-        out.graded = {}
-        for deg, acc in g.items():
-            if acc:
-                p = hpoly.strip([acc.get(t, 0) for t in range(max(acc) + 1)])
-                if p:
-                    out.graded[deg] = p
-        out.fpart = {k: c for k, c in f.items() if c}
-        return out
+        return from_atoms(
+            (atom, c1 * c2 * c)
+            for a1, c1 in self.atoms()
+            for a2, c2 in other.atoms()
+            for atom, c in atom_mul(a1, a2).atoms()
+        )
 
     def power(self, k: int) -> "Element1":
+        k = _index(k, "exponent")
         if k < 0:
             raise ValueError("negative powers are not defined in the operator algebra")
         out = Element1.one()
@@ -302,9 +270,7 @@ class Element1:
         """
         g = {-i: hpoly.shift(p, -i) for i, p in self.graded.items()}
         f = {(t, s): c for (s, t), c in self.fpart.items()}
-        out = Element1.__new__(Element1)
-        out.graded, out.fpart = g, f
-        return out
+        return Element1._make(g, f)
 
     # -- printing --------------------------------------------------------------
 
@@ -376,7 +342,10 @@ def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> Element1:
 def atom_mul(left: Atom, right: Atom) -> Element1:
     """Product of two basis atoms, written back in canonical form.
 
-    The complete rule table:
+    This is the one rule table of the rank-1 algebra: Element1 and ElementN
+    products are sums of it over pairs of atoms, and _generator_product is its
+    closed form for a factor x or d, pinned to it by the tests.
+
       p(H) v_j       = v_j p(H+j)
       d^m I^a        = v_{a-m}
       I^a d^m        = v_{a-m} - sum_{u < min(a,m)} e(u+max(a-m,0), u+max(m-a,0))
@@ -384,15 +353,15 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
       I e(s,t)       = e(s+1,t)             d e(s,t)    = e(s-1,t)   (0 if s = 0)
       e(s,t) I       = e(s,t-1) (0 if t=0)  e(s,t) d    = e(s,t+1)
       e(s,t) e(u,v)  = [t == u] e(s,v)
+
+    Both atoms are validated as in check_key.
     """
-    ltag, la, lb = left
-    rtag, ra, rb = right
+    (ltag, la, lb), (rtag, ra, rb) = check_key((left, right))
     if ltag == "v" and rtag == "v":
         i, s, j, t = la, lb, ra, rb
         # v_i H^s v_j H^t = v_i v_j (H+j)^s H^t
         r = hpoly.shift((0,) * s + (1,), j)
         r = hpoly.mul(r, (0,) * t + (1,))
-        g = {i + j: r}
         f: dict[Tuple[int, int], Scalar] = {}
         if i > 0 and j < 0:
             a, m = i, -j
@@ -401,22 +370,22 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
                 c = hpoly.evaluate(r, u + ts + 1)
                 if c:
                     f[(u + ks, u + ts)] = -c
-        return Element1(g, f)
+        return Element1._make({i + j: r}, f)
     if ltag == "v":
         i, s, u, v = la, lb, ra, rb
         if u + i < 0:
-            return Element1()
-        return Element1(fpart={(u + i, v): (u + 1) ** s})
+            return Element1._make({}, {})
+        return Element1._make({}, {(u + i, v): (u + 1) ** s})
     if rtag == "v":
         u, v, j, t = la, lb, ra, rb
         vv = v - j
         if vv < 0:
-            return Element1()
-        return Element1(fpart={(u, vv): (vv + 1) ** t})
+            return Element1._make({}, {})
+        return Element1._make({}, {(u, vv): (vv + 1) ** t})
     u, v, w, z = la, lb, ra, rb
     if v != w:
-        return Element1()
-    return Element1(fpart={(u, z): 1})
+        return Element1._make({}, {})
+    return Element1._make({}, {(u, z): 1})
 
 
 X_ATOM: Atom = ("v", 1, 1)  # x = I*H

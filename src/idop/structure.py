@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index
+from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index, from_atoms
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -43,23 +43,13 @@ class SplitTriple:
 
 
 def split(a: Element1) -> SplitTriple:
-    """Decompose into differential-operator, e-span and complement components."""
-    a_graded: dict[int, hpoly.HPoly] = {}
-    l_graded: dict[int, hpoly.HPoly] = {}
-    for i, b in a.graded.items():
-        if i <= 0:
-            a_graded[i] = b
-            continue
-        q, r = hpoly.divmod_monic(b, hpoly.rising_factorial(i))
-        if q:
-            a_graded[i] = hpoly.mul(hpoly.rising_factorial(i), q)
-        if r:
-            l_graded[i] = r
-    return SplitTriple(
-        a_part=Element1(a_graded),
-        f_part=Element1(fpart=a.fpart),
-        l_part=Element1(l_graded),
-    )
+    """Decompose into differential-operator, e-span and complement components,
+    summing the labeller _atom_label_parts over the atoms of a."""
+    parts: dict[Label, list[Tuple[Atom, Scalar]]] = {"A": [], "F": [], "L": []}
+    for atom, c in a.atoms():
+        for label, part, cc in _atom_label_parts(atom):
+            parts[label].append((part, c * cc))
+    return SplitTriple(*(from_atoms(parts[label]) for label in "AFL"))
 
 
 def in_a_span(e: Element1) -> bool:

@@ -160,6 +160,7 @@ class ElementN(_Terms):
         return ElementN._make(self.n, out)
 
     def power(self, k: int) -> "ElementN":
+        k = _index(k, "exponent")
         if k < 0:
             raise ValueError("negative powers are not defined in the operator algebra")
         out = ElementN.one(self.n)

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, including exit codes and the JSON schema."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idop.cli import main
 
@@ -334,3 +338,66 @@ class TestUsage:
         assert proc.returncode == 1
         assert "Traceback" not in err
         assert err.count("\n") <= 1
+
+
+# Token strings from the expression grammar.  Tokens are joined with spaces, so
+# numbers never run together: every exponent is at most 3 and inputs stay
+# small, because a rank-n power near MAX_EXPONENT takes seconds.
+_NUMBERS = st.integers(0, 3).map(str)
+_GENERATORS = st.builds(
+    str.__add__,
+    st.sampled_from(["x", "d", "I", "H"]),
+    st.sampled_from(["", "_1", "_2", "_3", "1", "2", "_0", "_4"]),
+)
+_EUNITS = st.builds(
+    "e({},{}){}".format, st.integers(0, 3), st.integers(0, 3), st.sampled_from(["", "_1", "_2"])
+)
+_EXPR_TOKENS = st.one_of(
+    _GENERATORS, _EUNITS, _NUMBERS, st.sampled_from(["+", "-", "*", "^", "(", ")", "/", ",", "e"])
+)
+_POLY_TOKENS = st.one_of(
+    _NUMBERS, st.sampled_from(["x", "x1", "x2", "x3", "x4", "+", "-", "*", "^", "(", ")", "/"])
+)
+# Well-formed expressions, so that most commands get past the parser too.
+_FORMED = st.recursive(
+    st.one_of(_GENERATORS, _EUNITS, _NUMBERS),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from(["+", "-", "*", "/"]), inner),
+        st.builds("( {} ) ^ {}".format, inner, _NUMBERS),
+        st.builds("- {}".format, inner),
+    ),
+    max_leaves=5,
+)
+expressions = st.one_of(_FORMED, st.lists(_EXPR_TOKENS, min_size=1, max_size=10).map(" ".join))
+polynomials = st.lists(_POLY_TOKENS, min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(
+        st.sampled_from(["norm", "apply", "split", "socle", "fdeg", "quot", "matrix", "dims"])
+    )
+    argv = [command, "--n", str(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    if command == "dims":
+        return argv + ["--gen", draw(expressions), "--max", str(draw(st.integers(0, 3)))]
+    argv.append(draw(expressions))
+    if command == "apply":
+        argv.append(draw(polynomials))
+    if command == "matrix":
+        argv += ["--size", str(draw(st.integers(-1, 4)))]
+    return argv
+
+
+class TestGrammarFuzz:
+    @given(command_lines())
+    @settings(max_examples=200, deadline=5000)
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

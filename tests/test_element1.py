@@ -51,6 +51,19 @@ class TestAtomMul:
         assert atom_mul(("e", 0, 1), ("e", 1, 2)) == e(0, 2)
         assert atom_mul(("e", 0, 1), ("e", 2, 2)).is_zero()
 
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            (("v", 0, 0), ("v", 0, -2), "H-power must be nonnegative"),
+            (("q", 0, 0), ("v", 0, 0), "unknown atom tag 'q'"),
+            (("e", 0, 0), ("e", -1, 3), r"e-unit indices must be nonnegative, got \(-1,3\)"),
+        ],
+        ids=["negative-H-power", "unknown-tag", "negative-e-unit-index"],
+    )
+    def test_rejects_invalid_atoms(self, left, right, message):
+        with pytest.raises(ValueError, match=message):
+            atom_mul(left, right)
+
     @given(elements1(), elements1())
     @settings(max_examples=60, deadline=None)
     def test_mul_agrees_with_atom_expansion(self, a, b):
@@ -105,6 +118,9 @@ class TestArithmetic:
         assert I.power(3) == I * I * I
         with pytest.raises(ValueError):
             I.power(-1)
+        for k in (2.5, "2"):
+            with pytest.raises(TypeError, match="exponent must be an integer"):
+                I.power(k)
 
 
 class TestFromGenerator:

@@ -313,12 +313,16 @@ class TestFiltrationDims:
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
 
     def test_word_enumeration_uses_element1_products(self, monkeypatch, fresh_columns):
-        # the reference shares no atom products with the engine it checks
+        # the reference shares no atom products with the engine it checks: the
+        # engine's come from _generator_product only, the reference's Element1
+        # products from atom_mul only
         def unused(*args):
             raise AssertionError("atom products were used")
 
-        monkeypatch.setattr(structure, "_generator_product", unused)
-        monkeypatch.setattr(element, "atom_mul", unused)
+        with monkeypatch.context() as patch:
+            patch.setattr(element, "atom_mul", unused)
+            assert bimodule_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
+        assert any(structure._MOVE_TABLES)  # the moves ran on an empty registry
         products = 0
         mul = Element1.__mul__
 
@@ -327,11 +331,11 @@ class TestFiltrationDims:
             products += 1
             return mul(a, b)
 
-        monkeypatch.setattr(Element1, "__mul__", counting_mul)
-        assert brute_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, "_generator_product", unused)
+            patch.setattr(Element1, "__mul__", counting_mul)
+            assert brute_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
         assert products > 0
-        with pytest.raises(AssertionError, match="atom products"):
-            bimodule_filtration_dims([Element1.one(), I], 1)
 
     def test_e00_generator(self):
         dims = bimodule_filtration_dims([E00], 6)

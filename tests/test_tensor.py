@@ -125,6 +125,16 @@ class TestMul:
         assert ElementN.zero(1) != BnElement.zero(1)
         assert not ElementN.zero(1) == BnElement.zero(1)
 
+    def test_power(self):
+        a = lift(1, I, 2) + lift(2, D, 2)
+        assert a.power(0) == ElementN.one(2)
+        assert a.power(3) == a * a * a
+        with pytest.raises(ValueError):
+            a.power(-1)
+        for k in (2.5, "2"):
+            with pytest.raises(TypeError, match="exponent must be an integer"):
+                a.power(k)
+
     @given(elements1(), elements1())
     @settings(max_examples=60, deadline=None)
     def test_rank1_agrees_with_element1(self, a, b):
