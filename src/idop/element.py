@@ -12,9 +12,11 @@ Element1 stores exactly this form: a sparse map degree -> H-polynomial and a
 sparse map (s,t) -> coefficient.  Equality of stored forms is equality of
 operators.
 
-The rewrite rules are stated once, atom by atom, in atom_mul: every product
-is a sum of it over pairs of atoms, and _generator_product is its closed
-form for a factor x or d, which the filtration's move tables read.
+The rewrite rules are stated once, in _block_mul, on blocks: a grade block
+v_i p(H) or one e-unit.  Element1 products are sums of it over pairs of
+blocks, atom_mul is its case for two atoms (the blocks of ElementN), and
+_generator_product is atom_mul's closed form for a factor x or d, which the
+filtration's move tables read.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from . import hpoly
@@ -33,6 +36,9 @@ Scalar = Union[int, Fraction]
 Atom = Tuple[str, int, int]
 
 ATOM_ONE: Atom = ("v", 0, 0)
+
+# A block is ("v", i, p) for v_i * p(H), p a nonzero HPoly, or an e-unit atom.
+Block = Tuple[str, int, object]
 
 _EUNIT_NAME = re.compile(r"^e\((\d+)\s*,\s*(\d+)\)$")
 
@@ -176,6 +182,13 @@ class Element1:
         for (s, t), c in self.fpart.items():
             yield ("e", s, t), c
 
+    def blocks(self) -> Iterator[Tuple[Block, Scalar]]:
+        """The canonical form as a sum of blocks, each v_i b_i(H) with coefficient 1."""
+        for i, p in self.graded.items():
+            yield ("v", i, p), 1
+        for (s, t), c in self.fpart.items():
+            yield ("e", s, t), c
+
     def support_vector(self) -> dict[Atom, Scalar]:
         return dict(self.atoms())
 
@@ -184,30 +197,11 @@ class Element1:
     def __add__(self, other: "Element1") -> "Element1":
         if not isinstance(other, Element1):
             return NotImplemented
-        g = dict(self.graded)
-        for i, p in other.graded.items():
-            q = hpoly.add(g.get(i, hpoly.ZERO), p)
-            if q:
-                g[i] = q
-            else:
-                g.pop(i, None)
-        f = dict(self.fpart)
-        for k, c in other.fpart.items():
-            d = f.get(k, 0) + c
-            if d:
-                f[k] = d
-            else:
-                f.pop(k, None)
-        return Element1._make(g, f)
+        return _from_blocks(chain(self.blocks(), other.blocks()))
 
     def scale(self, c: Scalar) -> "Element1":
         c = hpoly.exact(c)
-        if not c:
-            return Element1()
-        return Element1._make(
-            {i: hpoly.scale(c, p) for i, p in self.graded.items()},
-            {k: c * v for k, v in self.fpart.items()},
-        )
+        return _from_blocks((block, c * cb) for block, cb in self.blocks())
 
     def __rmul__(self, c: Scalar) -> "Element1":
         if isinstance(c, (int, Fraction)):
@@ -223,16 +217,16 @@ class Element1:
     # -- multiplication ----------------------------------------------------
 
     def __mul__(self, other: "Element1") -> "Element1":
-        """Product in canonical form: the sum of atom_mul over pairs of atoms."""
+        """Product in canonical form: the sum of _block_mul over pairs of blocks."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element1):
             return NotImplemented
-        return from_atoms(
-            (atom, c1 * c2 * c)
-            for a1, c1 in self.atoms()
-            for a2, c2 in other.atoms()
-            for atom, c in atom_mul(a1, a2).atoms()
+        return _from_blocks(
+            (block, c1 * c2 * c)
+            for b1, c1 in self.blocks()
+            for b2, c2 in other.blocks()
+            for block, c in _block_mul(b1, b2).blocks()
         )
 
     def power(self, k: int) -> "Element1":
@@ -322,30 +316,30 @@ def format_terms(terms: list[Tuple[Scalar, str]]) -> str:
 def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> Element1:
     """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates.
 
-    Atoms are validated as in check_key."""
+    Atoms are validated as in check_key and coefficients made exact."""
     pairs = list(pairs)
-    g: dict[int, dict[int, Scalar]] = {}
+    return _from_blocks(
+        ((tag, a, (0,) * b + (1,) if tag == "v" else b), hpoly.exact(c))
+        for (tag, a, b), (_, c) in zip(check_key(atom for atom, _ in pairs), pairs)
+    )
+
+
+def _from_blocks(pairs: Iterable[Tuple[Block, Scalar]]) -> Element1:
+    """The sum of (block, coefficient) pairs, for valid blocks and exact coefficients."""
+    g: dict[int, hpoly.HPoly] = {}
     f: dict[Tuple[int, int], Scalar] = {}
-    for (tag, a, b), (_, c) in zip(check_key(atom for atom, _ in pairs), pairs):
-        c = hpoly.exact(c)
+    for (tag, a, b), c in pairs:
         if tag == "v":
-            acc = g.setdefault(a, {})
-            acc[b] = acc.get(b, 0) + c
+            g[a] = hpoly.add(g.get(a, hpoly.ZERO), hpoly.scale(c, b))
         else:
             f[(a, b)] = f.get((a, b), 0) + c
-    graded = {
-        i: [acc.get(t, 0) for t in range(max(acc) + 1)] for i, acc in g.items() if acc
-    }
-    return Element1(graded, f)
+    return Element1._make({i: p for i, p in g.items() if p}, {k: c for k, c in f.items() if c})
 
 
-def atom_mul(left: Atom, right: Atom) -> Element1:
-    """Product of two basis atoms, written back in canonical form.
+def _block_mul(left: Block, right: Block) -> Element1:
+    """Product of two blocks, written back in canonical form.
 
-    This is the one rule table of the rank-1 algebra: Element1 and ElementN
-    products are sums of it over pairs of atoms, and _generator_product is its
-    closed form for a factor x or d, pinned to it by the tests.
-
+    This is the one rule table of the rank-1 algebra:
       p(H) v_j       = v_j p(H+j)
       d^m I^a        = v_{a-m}
       I^a d^m        = v_{a-m} - sum_{u < min(a,m)} e(u+max(a-m,0), u+max(m-a,0))
@@ -353,15 +347,12 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
       I e(s,t)       = e(s+1,t)             d e(s,t)    = e(s-1,t)   (0 if s = 0)
       e(s,t) I       = e(s,t-1) (0 if t=0)  e(s,t) d    = e(s,t+1)
       e(s,t) e(u,v)  = [t == u] e(s,v)
-
-    Both atoms are validated as in check_key.
     """
-    (ltag, la, lb), (rtag, ra, rb) = check_key((left, right))
+    ltag, la, lb = left
+    rtag, ra, rb = right
     if ltag == "v" and rtag == "v":
-        i, s, j, t = la, lb, ra, rb
-        # v_i H^s v_j H^t = v_i v_j (H+j)^s H^t
-        r = hpoly.shift((0,) * s + (1,), j)
-        r = hpoly.mul(r, (0,) * t + (1,))
+        i, p, j, q = la, lb, ra, rb
+        r = hpoly.mul(hpoly.shift(p, j), q)  # v_i p(H) v_j q(H) = v_i v_j p(H+j) q(H)
         f: dict[Tuple[int, int], Scalar] = {}
         if i > 0 and j < 0:
             a, m = i, -j
@@ -372,20 +363,27 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
                     f[(u + ks, u + ts)] = -c
         return Element1._make({i + j: r}, f)
     if ltag == "v":
-        i, s, u, v = la, lb, ra, rb
-        if u + i < 0:
-            return Element1._make({}, {})
-        return Element1._make({}, {(u + i, v): (u + 1) ** s})
+        i, p, u, v = la, lb, ra, rb
+        c = hpoly.evaluate(p, u + 1) if u + i >= 0 else 0
+        return Element1._make({}, {(u + i, v): c} if c else {})
     if rtag == "v":
-        u, v, j, t = la, lb, ra, rb
+        u, v, j, q = la, lb, ra, rb
         vv = v - j
-        if vv < 0:
-            return Element1._make({}, {})
-        return Element1._make({}, {(u, vv): (vv + 1) ** t})
+        c = hpoly.evaluate(q, vv + 1) if vv >= 0 else 0
+        return Element1._make({}, {(u, vv): c} if c else {})
     u, v, w, z = la, lb, ra, rb
-    if v != w:
-        return Element1._make({}, {})
-    return Element1._make({}, {(u, z): 1})
+    return Element1._make({}, {(u, z): 1} if v == w else {})
+
+
+def atom_mul(left: Atom, right: Atom) -> Element1:
+    """Product of two basis atoms in canonical form: _block_mul on the blocks
+    v_i H^t and e(s,t).  Both atoms are validated as in check_key."""
+    (ltag, la, lb), (rtag, ra, rb) = check_key((left, right))
+    if ltag == "v":
+        lb = (0,) * lb + (1,)
+    if rtag == "v":
+        rb = (0,) * rb + (1,)
+    return _block_mul((ltag, la, lb), (rtag, ra, rb))
 
 
 X_ATOM: Atom = ("v", 1, 1)  # x = I*H

@@ -76,6 +76,8 @@ def scale(c: Scalar, p: HPoly) -> HPoly:
     c = exact(c)
     if c == 0:
         return ZERO
+    if c == 1:
+        return p
     return tuple(c * a for a in p)
 
 

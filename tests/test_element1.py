@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idop import element
 from idop.element import D_ATOM, X_ATOM, Element1, _generator_product, atom_mul, from_atoms
 from idop.oracle import consistent, to_matrix
 from idop.tensor import BnElement, apply_n, lift, project_bn
@@ -72,6 +73,16 @@ class TestAtomMul:
             for at2, c2 in b.atoms():
                 expected = expected + (c1 * c2) * atom_mul(at1, at2)
         assert a * b == expected
+
+    def test_mul_multiplies_graded_components_whole(self, monkeypatch):
+        # one block product per pair of blocks, so a dense graded component is
+        # shifted once, not once per atom
+        a, b = (X + D).power(8), X + D + e(1, 2)
+        calls = []
+        block_mul = element._block_mul
+        monkeypatch.setattr(element, "_block_mul", lambda l, r: calls.append(1) or block_mul(l, r))
+        a * b
+        assert len(calls) == len(list(a.blocks())) * len(list(b.blocks())) == 9 * 3
 
 
 class TestAtomProduct:

@@ -163,6 +163,13 @@ class TestConsistent:
         for _ in range(100):
             assert consistent(random_element1(rng), random_element1(rng), 24)
 
+    @given(elements1(max_atoms=6), elements1(max_atoms=6))
+    @settings(max_examples=60, deadline=None)
+    def test_rank1_window(self, a, b):
+        # every rank-1 product against the matrix product, which never reads
+        # the rule table; the window holds every e-unit index drawn
+        assert consistent(a, b, up(a) + up(b) + 8)
+
     @given(elements_n(), elements_n())
     @settings(max_examples=15, deadline=None)
     def test_rank2_window(self, a, b):
