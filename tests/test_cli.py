@@ -48,6 +48,22 @@ class TestNorm:
         assert code == 0
         assert json.loads(out) == json.loads((DATA / "norm_rank2.golden.json").read_text())
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("norm_dense_rank1", ["(3*x-2*d)^11"]),
+            ("norm_dense_rank1_eunits", ["(x-2*I+3*d+1/2*e(1,0))^6"]),
+            ("norm_dense_rank2", ["--n", "2", "(2*x_1+d_2+3*I_1*e(0,0)_2)^5"]),
+            ("norm_dense_rank3", ["--n", "3", "(x_1*d_2-2*I_3+H_1)^4"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_dense_powers_match_golden_output(self, capsys, name, argv, fmt, suffix):
+        # byte-exact, so the printer and the JSON encoder are pinned on dense output
+        code, out, err = run(capsys, "norm", "--format", fmt, *argv)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
+
     def test_deterministic(self, capsys):
         first = run(capsys, "norm", "--n", "2", "x_1*d_2 + e(1,0)_2")
         second = run(capsys, "norm", "--n", "2", "x_1*d_2 + e(1,0)_2")
