@@ -1,4 +1,4 @@
-"""Canonical forms and exact arithmetic for rank-1 integro-differential operators.
+"""The rank-1 rule table: basis atoms, blocks and their products.
 
 The algebra acts on K[x] and is generated by d (differentiation), I
 (integration with zero constant term) and H = d*x.  Writing v_i for I^i
@@ -7,14 +7,14 @@ The algebra acts on K[x] and is generated by d (differentiation), I
     sum_i  v_i * b_i(H)   +   sum_{s,t}  c_{st} * e(s,t)
 
 with b_i in Q[H], where e(s,t) = I^s d^t - I^{s+1} d^{t+1} are the
-matrix-unit-like elements spanning the unique proper two-sided ideal.
-Element1 stores exactly this form: a sparse map degree -> H-polynomial and a
-sparse map (s,t) -> coefficient.  Equality of stored forms is equality of
-operators.
+matrix-unit-like elements spanning the unique proper two-sided ideal.  Its
+basis atoms are v_i H^t and e(s,t); Element1, the rank-1 case of
+tensor.ElementN, stores the form as a map from atoms to coefficients, so
+equality of stored forms is equality of operators.
 
 The rewrite rules are stated once, in _block_mul, on blocks: a grade block
-v_i p(H) or one e-unit.  Element1 products are sums of it over pairs of
-blocks, atom_mul is its case for two atoms (the blocks of ElementN), and
+v_i p(H) or one e-unit.  The one product, tensor._product, sums it over pairs
+of last-slot blocks; atom_mul is its case for two atoms, and
 _generator_product is atom_mul's closed form for a factor x or d, which the
 filtration's move tables read.
 """
@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from . import hpoly
 
@@ -39,8 +37,6 @@ ATOM_ONE: Atom = ("v", 0, 0)
 
 # A block is ("v", i, p) for v_i * p(H), p a nonzero HPoly, or an e-unit atom.
 Block = Tuple[str, int, object]
-
-_EUNIT_NAME = re.compile(r"^e\((\d+)\s*,\s*(\d+)\)$")
 
 
 def _index(v: object, what: str) -> int:
@@ -99,187 +95,21 @@ def atom_sort_key(atom: Atom) -> Tuple[int, int, int]:
     return (0 if tag == "v" else 1, a, b)
 
 
-class Element1:
-    """A rank-1 operator in canonical form.  Values are immutable by convention."""
+def atom_grade(atom: Atom) -> int:
+    """The grade of a basis atom: i for v_i H^t and s - t for e(s,t)."""
+    tag, a, b = atom
+    return a if tag == "v" else a - b
 
-    __slots__ = ("graded", "fpart")
 
-    def __init__(
-        self,
-        graded: Optional[Mapping[int, Sequence]] = None,
-        fpart: Optional[Mapping[Tuple[int, int], Scalar]] = None,
-    ):
-        g: dict[int, hpoly.HPoly] = {}
-        if graded:
-            for i, p in graded.items():
-                if type(i) is not int:
-                    i = _index(i, "grade")
-                p = hpoly.trim(p)
-                if p:
-                    g[i] = p
-        f: dict[Tuple[int, int], Scalar] = {}
-        if fpart:
-            for (s, t), c in fpart.items():
-                if type(s) is not int or type(t) is not int or s < 0 or t < 0:
-                    s, t = eunit_atom(s, t)[1:]
-                c = hpoly.exact(c)
-                if c:
-                    f[(s, t)] = c
-        self.graded = g
-        self.fpart = f
+def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> "Element1":
+    """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates.
 
-    @staticmethod
-    def _make(graded: dict, fpart: dict) -> "Element1":
-        """Wrap already canonical graded and e-unit maps without checking them."""
-        out = Element1.__new__(Element1)
-        out.graded, out.fpart = graded, fpart
-        return out
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Element1":
-        return Element1()
-
-    @staticmethod
-    def one() -> "Element1":
-        return Element1({0: hpoly.ONE})
-
-    @classmethod
-    def from_generator(cls, name: str) -> "Element1":
-        """Build a generator: 'x', 'd', 'I', 'H', or 'e(s,t)'."""
-        if name == "x":
-            return cls({1: hpoly.H})  # x = I*H
-        if name == "d":
-            return cls({-1: hpoly.ONE})
-        if name == "I":
-            return cls({1: hpoly.ONE})
-        if name == "H":
-            return cls({0: hpoly.H})
-        m = _EUNIT_NAME.match(name)
-        if m:
-            return cls(fpart={(int(m.group(1)), int(m.group(2))): 1})
-        raise ValueError(f"unknown generator {name!r}")
-
-    # -- basic structure ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.graded and not self.fpart
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element1):
-            return NotImplemented
-        return self.graded == other.graded and self.fpart == other.fpart
-
-    __hash__ = None  # mutable dict fields; canonical equality only
-
-    def atoms(self) -> Iterator[Tuple[Atom, Scalar]]:
-        """Expand the canonical form over basis atoms (nonzero coefficients only)."""
-        for i, p in self.graded.items():
-            for t, c in enumerate(p):
-                if c:
-                    yield ("v", i, t), c
-        for (s, t), c in self.fpart.items():
-            yield ("e", s, t), c
-
-    def blocks(self) -> Iterator[Tuple[Block, Scalar]]:
-        """The canonical form as a sum of blocks, each v_i b_i(H) with coefficient 1."""
-        for i, p in self.graded.items():
-            yield ("v", i, p), 1
-        for (s, t), c in self.fpart.items():
-            yield ("e", s, t), c
-
-    def support_vector(self) -> dict[Atom, Scalar]:
-        return dict(self.atoms())
-
-    # -- linear operations -------------------------------------------------
-
-    def __add__(self, other: "Element1") -> "Element1":
-        if not isinstance(other, Element1):
-            return NotImplemented
-        return _from_blocks(chain(self.blocks(), other.blocks()))
-
-    def scale(self, c: Scalar) -> "Element1":
-        c = hpoly.exact(c)
-        return _from_blocks((block, c * cb) for block, cb in self.blocks())
-
-    def __rmul__(self, c: Scalar) -> "Element1":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __neg__(self) -> "Element1":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Element1") -> "Element1":
-        return self + (-other)
-
-    # -- multiplication ----------------------------------------------------
-
-    def __mul__(self, other: "Element1") -> "Element1":
-        """Product in canonical form: the sum of _block_mul over pairs of blocks."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Element1):
-            return NotImplemented
-        return _from_blocks(
-            (block, c1 * c2 * c)
-            for b1, c1 in self.blocks()
-            for b2, c2 in other.blocks()
-            for block, c in _block_mul(b1, b2).blocks()
-        )
-
-    def power(self, k: int) -> "Element1":
-        k = _index(k, "exponent")
-        if k < 0:
-            raise ValueError("negative powers are not defined in the operator algebra")
-        out = Element1.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    # -- structural queries --------------------------------------------------
-
-    def fdegree(self) -> int:
-        """Size of the smallest square e-index block containing the e-part; -1 if none."""
-        if not self.fpart:
-            return -1
-        return max(max(s, t) for s, t in self.fpart)
-
-    def grade_component(self, i: int) -> "Element1":
-        """The degree-i component: v_i b_i(H) plus all e(s,t) with s - t = i."""
-        g = {i: self.graded[i]} if i in self.graded else None
-        f = {k: c for k, c in self.fpart.items() if k[0] - k[1] == i}
-        return Element1(g, f)
-
-    def grades(self) -> set[int]:
-        out = set(self.graded)
-        out.update(s - t for s, t in self.fpart)
-        return out
-
-    def transpose(self) -> "Element1":
-        """Matrix transpose in the divided-power basis: d <-> I, H fixed, e(s,t) -> e(t,s).
-
-        An involutive anti-automorphism: v_i b(H) -> b(H) v_{-i} = v_{-i} b(H-i).
-        """
-        g = {-i: hpoly.shift(p, -i) for i, p in self.graded.items()}
-        f = {(t, s): c for (s, t), c in self.fpart.items()}
-        return Element1._make(g, f)
-
-    # -- printing --------------------------------------------------------------
-
-    def __str__(self) -> str:
-        terms: list[Tuple[Scalar, str]] = []
-        for i in sorted(self.graded):
-            p = self.graded[i]
-            for t, c in enumerate(p):
-                if c:
-                    terms.append((c, _graded_atom_str(i, t)))
-        for (s, t) in sorted(self.fpart):
-            terms.append((self.fpart[(s, t)], f"e({s},{t})"))
-        return format_terms(terms)
-
-    __repr__ = __str__
+    Atoms are validated as in check_key and coefficients made exact."""
+    pairs = list(pairs)
+    terms: dict = {}
+    for atom, (_, c) in zip(check_key(atom for atom, _ in pairs), pairs):
+        terms[(atom,)] = terms.get((atom,), 0) + hpoly.exact(c)
+    return Element1._make(1, {key: c for key, c in terms.items() if c})
 
 
 def _graded_atom_str(i: int, t: int, suffix: str = "") -> str:
@@ -313,31 +143,9 @@ def format_terms(terms: list[Tuple[Scalar, str]]) -> str:
     return "".join(pieces)
 
 
-def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> Element1:
-    """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates.
-
-    Atoms are validated as in check_key and coefficients made exact."""
-    pairs = list(pairs)
-    return _from_blocks(
-        ((tag, a, (0,) * b + (1,) if tag == "v" else b), hpoly.exact(c))
-        for (tag, a, b), (_, c) in zip(check_key(atom for atom, _ in pairs), pairs)
-    )
-
-
-def _from_blocks(pairs: Iterable[Tuple[Block, Scalar]]) -> Element1:
-    """The sum of (block, coefficient) pairs, for valid blocks and exact coefficients."""
-    g: dict[int, hpoly.HPoly] = {}
-    f: dict[Tuple[int, int], Scalar] = {}
-    for (tag, a, b), c in pairs:
-        if tag == "v":
-            g[a] = hpoly.add(g.get(a, hpoly.ZERO), hpoly.scale(c, b))
-        else:
-            f[(a, b)] = f.get((a, b), 0) + c
-    return Element1._make({i: p for i, p in g.items() if p}, {k: c for k, c in f.items() if c})
-
-
-def _block_mul(left: Block, right: Block) -> Element1:
-    """Product of two blocks, written back in canonical form.
+def _block_mul(left: Block, right: Block) -> list[Tuple[Block, Scalar]]:
+    """Product of two blocks, written back in canonical form as (block,
+    coefficient) pairs: at most one grade block, with coefficient 1, first.
 
     This is the one rule table of the rank-1 algebra:
       p(H) v_j       = v_j p(H+j)
@@ -353,29 +161,29 @@ def _block_mul(left: Block, right: Block) -> Element1:
     if ltag == "v" and rtag == "v":
         i, p, j, q = la, lb, ra, rb
         r = hpoly.mul(hpoly.shift(p, j), q)  # v_i p(H) v_j q(H) = v_i v_j p(H+j) q(H)
-        f: dict[Tuple[int, int], Scalar] = {}
+        out: list[Tuple[Block, Scalar]] = [(("v", i + j, r), 1)]
         if i > 0 and j < 0:
             a, m = i, -j
             ks, ts = max(a - m, 0), max(m - a, 0)
             for u in range(min(a, m)):
                 c = hpoly.evaluate(r, u + ts + 1)
                 if c:
-                    f[(u + ks, u + ts)] = -c
-        return Element1._make({i + j: r}, f)
+                    out.append((("e", u + ks, u + ts), -c))
+        return out
     if ltag == "v":
         i, p, u, v = la, lb, ra, rb
         c = hpoly.evaluate(p, u + 1) if u + i >= 0 else 0
-        return Element1._make({}, {(u + i, v): c} if c else {})
+        return [(("e", u + i, v), c)] if c else []
     if rtag == "v":
         u, v, j, q = la, lb, ra, rb
         vv = v - j
         c = hpoly.evaluate(q, vv + 1) if vv >= 0 else 0
-        return Element1._make({}, {(u, vv): c} if c else {})
+        return [(("e", u, vv), c)] if c else []
     u, v, w, z = la, lb, ra, rb
-    return Element1._make({}, {(u, z): 1} if v == w else {})
+    return [(("e", u, z), 1)] if v == w else []
 
 
-def atom_mul(left: Atom, right: Atom) -> Element1:
+def atom_mul(left: Atom, right: Atom) -> "Element1":
     """Product of two basis atoms in canonical form: _block_mul on the blocks
     v_i H^t and e(s,t).  Both atoms are validated as in check_key."""
     (ltag, la, lb), (rtag, ra, rb) = check_key((left, right))
@@ -383,7 +191,13 @@ def atom_mul(left: Atom, right: Atom) -> Element1:
         lb = (0,) * lb + (1,)
     if rtag == "v":
         rb = (0,) * rb + (1,)
-    return _block_mul((ltag, la, lb), (rtag, ra, rb))
+    terms: dict = {}
+    for (tag, a, b), c in _block_mul((ltag, la, lb), (rtag, ra, rb)):
+        if tag == "v":
+            terms.update(((("v", a, t),), pc) for t, pc in enumerate(b) if pc)
+        else:
+            terms[(("e", a, b),)] = c
+    return Element1._make(1, terms)
 
 
 X_ATOM: Atom = ("v", 1, 1)  # x = I*H
@@ -446,3 +260,8 @@ def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
         return None
     return (Fraction(math.factorial(v), math.factorial(u)), u)
 
+
+# Element1 is defined beside ElementN, of which it is the rank-1 case, and
+# bound here for the rank-1 callers.  tensor reads the names above, so this
+# import stays last, and the package imports this module before tensor.
+from .tensor import Element1  # noqa: E402

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .element import Element1
-from .tensor import BnElement, ElementN, lift, to_element1
+from .element import Element1, atom_sort_key, format_terms
+from .tensor import BnElement, ElementN, check_rank, lift, to_element1
 from .oracle import TruncMatrix
 
 
@@ -270,7 +270,8 @@ def _eval_element(node: Node, n: int) -> ElementN:
 
 
 def parse_element(text: str, n: int = 1) -> ElementN:
-    """Parse an operator expression at the given tensor rank."""
+    """Parse an operator expression at the given tensor rank (at most MAX_RANK)."""
+    n = check_rank(n)
     return _eval_element(_Parser(_tokenize(text)).parse(), n)
 
 
@@ -327,12 +328,11 @@ def _eval_poly(node: Node, n: int) -> dict[tuple, Fraction]:
 
 def parse_poly(text: str, n: int = 1) -> dict[tuple, Fraction]:
     """Parse a polynomial in x1..xn as a sparse exponent-vector map."""
+    n = check_rank(n)
     return _eval_poly(_Parser(_tokenize(text)).parse(), n)
 
 
 def format_poly(p: dict, n: int) -> str:
-    from .element import format_terms
-
     terms: list[Tuple[Fraction, str]] = []
     for exps in sorted(p, key=lambda k: (sum(k), k)):
         parts = []
@@ -349,18 +349,17 @@ def format_poly(p: dict, n: int) -> str:
 
 
 def element1_to_json(e: Element1) -> dict:
+    graded, fpart = e.graded, e.fpart
     return {
         "rank": 1,
-        "graded": [[i, [str(c) for c in e.graded[i]]] for i in sorted(e.graded)],
-        "fpart": [[s, t, str(e.fpart[(s, t)])] for s, t in sorted(e.fpart)],
+        "graded": [[i, [str(c) for c in graded[i]]] for i in sorted(graded)],
+        "fpart": [[s, t, str(fpart[(s, t)])] for s, t in sorted(fpart)],
     }
 
 
 def elementn_to_json(a: ElementN) -> dict:
     if a.n == 1:
         return element1_to_json(to_element1(a))
-    from .element import atom_sort_key
-
     graded = []
     fpart = []
     for key in sorted(a.terms, key=lambda k: tuple(atom_sort_key(at) for at in k)):

@@ -68,10 +68,6 @@ def add(p: HPoly, q: HPoly) -> HPoly:
     return strip(out)
 
 
-def neg(p: HPoly) -> HPoly:
-    return tuple(-c for c in p)
-
-
 def scale(c: Scalar, p: HPoly) -> HPoly:
     c = exact(c)
     if c == 0:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .element import Atom, Element1, _index
+from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
 from .tensor import ElementN
 
@@ -173,8 +173,8 @@ def _monomial_atom_action(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
     return (total, row)
 
 
-def _fill(mat: TruncMatrix, atoms, N: int, action) -> None:
-    for atom, c in atoms:
+def _fill(mat: TruncMatrix, a: ElementN, N: int, action) -> None:
+    for (atom,), c in a.terms.items():
         for s in range(N):
             res = action(atom, s)
             if res is not None:
@@ -186,14 +186,14 @@ def _fill(mat: TruncMatrix, atoms, N: int, action) -> None:
 def to_matrix(a: Element1, N: int) -> TruncMatrix:
     """Truncated matrix in the divided-power basis; images of degree >= N are dropped."""
     mat = TruncMatrix(N)
-    _fill(mat, a.atoms(), N, _divided_atom_action)
+    _fill(mat, a, N, _divided_atom_action)
     return mat
 
 
 def to_matrix_monomial(a: Element1, N: int) -> TruncMatrix:
     """Truncated matrix in the plain monomial basis x^s (secondary convention)."""
     mat = TruncMatrix(N)
-    _fill(mat, a.atoms(), N, _monomial_atom_action)
+    _fill(mat, a, N, _monomial_atom_action)
     return mat
 
 
@@ -244,19 +244,10 @@ def _multi_indices(N: int, n: int):
                 yield rest + (s,)
 
 
-def up(a: Union[Element1, ElementN]) -> int:
+def up(a: ElementN) -> int:
     """Largest amount by which a can raise polynomial degree in any factor:
     max(0, positive grades in the support), with e(s,t) counted as grade s - t."""
-    bound = 0
-    if isinstance(a, Element1):
-        atoms = (atom for atom, _ in a.atoms())
-    else:
-        atoms = (atom for key in a.terms for atom in key)
-    for tag, x, y in atoms:
-        g = x if tag == "v" else x - y
-        if g > bound:
-            bound = g
-    return bound
+    return max([0] + [atom_grade(atom) for key in a.terms for atom in key])
 
 
 def consistent(a, b, N: int) -> bool:
@@ -269,22 +260,16 @@ def consistent(a, b, N: int) -> bool:
     ua, ub = up(a), up(b)
     if N <= ua + ub:
         raise ValueError(f"empty validity window: N={N} <= up(a)+up(b)={ua + ub}")
-    if isinstance(a, Element1):
-        prod = to_matrix(a * b, N)
-        mm = to_matrix(a, N) @ to_matrix(b, N)
-        dim = N
-        window = range(N - ua - ub)
-    else:
-        prod = to_matrix_n(a * b, N)
-        mm = to_matrix_n(a, N) @ to_matrix_n(b, N)
-        n = a.n
-        strides = [N ** (n - 1 - k) for k in range(n)]
-        dim = N**n
-        window = [
-            sum(s * st for s, st in zip(multi, strides))
-            for multi in _multi_indices(N, n)
-            if all(s + ua + ub < N for s in multi)
-        ]
+    matrix = to_matrix if a.n == 1 else to_matrix_n  # to_matrix_n is ~4x slower at rank 1
+    prod = matrix(a * b, N)
+    mm = matrix(a, N) @ matrix(b, N)
+    n, dim = a.n, prod.dim
+    strides = [N ** (n - 1 - k) for k in range(n)]
+    window = [
+        sum(s * st for s, st in zip(multi, strides))
+        for multi in _multi_indices(N, n)
+        if all(s + ua + ub < N for s in multi)
+    ]
     for s in window:
         for r in range(dim):
             if prod.entries[r][s] != mm.entries[r][s]:

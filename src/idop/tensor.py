@@ -1,16 +1,27 @@
-"""Rank-n operators as sparse combinations of tensor products of rank-1 atoms.
+"""Operators of every tensor rank: one sparse term map and one product.
 
 The rank-n algebra is the n-fold tensor product of the rank-1 algebra, acting
-factor-wise on K[x_1, ..., x_n] (apply_n; rank 1 is apply_n(lift(1, a, 1), p)).
-Keys are ordered tuples of basis atoms, so two ElementN values are equal as
-operators iff their term maps are identical.  The quotient by the e-span is
-the n-fold tensor power of the skew Laurent algebra Q[H][d, d^-1] (BnElement,
-reached through project_bn; rank 1 is project_bn(lift(1, a, 1))).  Both
-classes share one sparse-term arithmetic, _Terms.
+factor-wise on K[x_1, ..., x_n] (apply_n).  An ElementN is a sparse map from
+n-tuples of basis atoms to nonzero coefficients.  Keys are ordered tuples, so
+two values are equal as operators iff their term maps are identical.
+Element1 is the rank-1 case: the same term map with keys of one atom, plus the
+rank-1 constructor from a canonical form and read-only graded/fpart views of
+it.  lift and to_element1 move between them without rebuilding terms.
+
+_product is the one product.  It folds each operand's last slot into blocks
+v_i p(H) (all H-powers of one grade under one head, the atoms of the other
+slots) and e-units, multiplies last slots with element._block_mul and head
+slots with atom_mul, and collects graded results as polynomials.  At rank 1
+every head is empty, so it is the block product of the rank-1 rule table.
+
+The quotient by the e-span is the n-fold tensor power of the skew Laurent
+algebra Q[H][d, d^-1] (BnElement, reached through project_bn).  ElementN and
+BnElement share one sparse-term linear arithmetic, _Terms.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Tuple, Union
@@ -19,20 +30,40 @@ from . import hpoly
 from .element import (
     ATOM_ONE,
     Atom,
-    Element1,
+    _block_mul,
+    _graded_atom_str,
     _index,
     atom_apply_power,
+    atom_grade,
     atom_mul,
     atom_sort_key,
     check_key,
+    eunit_atom,
     format_terms,
-    from_atoms,
-    _graded_atom_str,
 )
 
 Scalar = Union[int, Fraction]
 Key = Tuple[Atom, ...]
 SkewKey = Tuple[Tuple[int, int], ...]
+
+# Largest tensor rank, checked before any key or exponent tuple of that length
+# is built: well above rank 3, the largest that the verification suites and
+# the benchmark use.
+MAX_RANK = 16
+
+# The graded parts of the generators; x = I*H.
+_GENERATORS = {"x": {1: hpoly.H}, "d": {-1: hpoly.ONE}, "I": {1: hpoly.ONE}, "H": {0: hpoly.H}}
+_EUNIT_NAME = re.compile(r"^e\((\d+)\s*,\s*(\d+)\)$")
+
+
+def check_rank(n: object) -> int:
+    """A tensor rank entering the engine: an integer in 1..MAX_RANK."""
+    n = _index(n, "rank")
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} exceeds the budget {MAX_RANK}")
+    return n
 
 
 class _Terms:
@@ -45,8 +76,7 @@ class _Terms:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[tuple, Scalar]] = None):
-        if n < 1:
-            raise ValueError(f"rank must be positive, got {n}")
+        n = check_rank(n)
         out: dict[tuple, Scalar] = {}
         if terms:
             for key, c in terms.items():
@@ -127,6 +157,81 @@ def _collect(out: dict, base: Scalar, factor_expansions: list) -> None:
             out.pop(key, None)
 
 
+def _last_slot_blocks(terms: Mapping[Key, Scalar]) -> dict[Key, list]:
+    """Group a term map by head, the atoms of every slot but the last, into
+    (block, coefficient) pairs for the last slot: first a block ("v", i, p)
+    with coefficient 1 per grade i, p holding the coefficients of every H-power
+    of that grade under the head, then each e-unit with its coefficient."""
+    polys: dict[Tuple[Key, int], list] = {}
+    eunits = []
+    for key, c in terms.items():
+        head, last = key[:-1], key[-1]
+        tag, i, t = last
+        if tag == "v":
+            p = polys.get((head, i))
+            if p is None:
+                polys[(head, i)] = [0] * t + [c]
+            elif t < len(p):
+                p[t] = c
+            else:  # the common case: H-powers arrive in increasing order
+                p += [0] * (t - len(p))
+                p.append(c)
+        else:
+            eunits.append((head, last, c))
+    out: dict[Key, list] = {}
+    for (head, i), p in polys.items():
+        out.setdefault(head, []).append((("v", i, tuple(p)), 1))
+    for head, last, c in eunits:
+        out.setdefault(head, []).append((last, c))
+    return out
+
+
+def _product(a: "ElementN", b: object):
+    """The product of a and b in canonical form: a scalar scales a; an operand
+    of a's class and rank is multiplied block by block.
+
+    Each pair of heads is multiplied once, slot by slot with atom_mul, and
+    each pair of last-slot blocks under them once, with _block_mul.  Graded
+    results are collected per (head, grade) as H-polynomials, so a dense
+    graded component is shifted and multiplied once, not once per atom."""
+    if isinstance(b, (int, Fraction)):
+        return a.scale(b)
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    a._require_same_rank(b)
+    graded: dict[Tuple[Key, int], hpoly.HPoly] = {}
+    eunits: dict[Key, Scalar] = {}
+    right = _last_slot_blocks(b.terms)
+    for h1, blocks1 in _last_slot_blocks(a.terms).items():
+        for h2, blocks2 in right.items():
+            heads: dict[Key, Scalar] = {}  # the head products, {(): 1} at rank 1
+            _collect(heads, 1, [list(atom_mul(a1, a2).atoms()) for a1, a2 in zip(h1, h2)])
+            if not heads:
+                continue
+            for b1, c1 in blocks1:
+                for b2, c2 in blocks2:
+                    for block, c in _block_mul(b1, b2):
+                        c *= c1 * c2
+                        if block[0] == "e":
+                            for head, ch in heads.items():
+                                key = head + (block,)
+                                eunits[key] = eunits.get(key, 0) + c * ch
+                            continue
+                        _, i, p = block
+                        for head, ch in heads.items():
+                            q = graded.get((head, i), hpoly.ZERO)
+                            graded[(head, i)] = hpoly.add(q, hpoly.scale(c * ch, p))
+    terms: dict[Key, Scalar] = {}
+    for (head, i), p in graded.items():
+        for t, c in enumerate(p):
+            if c:
+                terms[head + (("v", i, t),)] = c
+    for key, c in eunits.items():
+        if c:
+            terms[key] = c
+    return type(a)._make(a.n, terms)
+
+
 class ElementN(_Terms):
     """An operator of fixed tensor rank n >= 1: a sparse map Key -> coefficient."""
 
@@ -136,46 +241,28 @@ class ElementN(_Terms):
 
     @staticmethod
     def one(n: int) -> "ElementN":
+        n = check_rank(n)
         return ElementN(n, {(ATOM_ONE,) * n: 1})
 
     def __mul__(self, other: "ElementN") -> "ElementN":
-        """Factor-wise product: each pair of per-factor atoms is multiplied in
-        rank 1 and the tensor expansion re-collected."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, ElementN):
-            return NotImplemented
-        self._require_same_rank(other)
-        out: dict[Key, Scalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                factor_expansions = []
-                for a1, a2 in zip(k1, k2):
-                    prod1 = list(atom_mul(a1, a2).atoms())
-                    if not prod1:
-                        break
-                    factor_expansions.append(prod1)
-                else:
-                    _collect(out, c1 * c2, factor_expansions)
-        return ElementN._make(self.n, out)
+        """The product, for every rank; see _product."""
+        return _product(self, other)
 
     def power(self, k: int) -> "ElementN":
         k = _index(k, "exponent")
         if k < 0:
             raise ValueError("negative powers are not defined in the operator algebra")
-        out = ElementN.one(self.n)
+        out = self._make(self.n, {(ATOM_ONE,) * self.n: 1})
         for _ in range(k):
             out = out * self
         return out
 
     def __str__(self) -> str:
-        if self.n == 1:
-            return str(to_element1(self))
         terms: list[Tuple[Scalar, str]] = []
         for key in sorted(self.terms, key=lambda k: tuple(atom_sort_key(a) for a in k)):
             parts = []
             for f, atom in enumerate(key, start=1):
-                s = _atom_str(atom, f"_{f}")
+                s = _atom_str(atom, "" if self.n == 1 else f"_{f}")
                 if s:
                     parts.append(s)
             terms.append((self.terms[key], "*".join(parts)))
@@ -191,21 +278,117 @@ def _atom_str(atom: Atom, suffix: str) -> str:
     return f"e({a},{b}){suffix}"
 
 
+class Element1(ElementN):
+    """A rank-1 operator: an ElementN of rank 1, built from its canonical form.
+
+    Element1(graded, fpart) takes the graded part as a map grade i -> the
+    coefficients of b_i(H), and the e-part as a map (s, t) -> coefficient.
+    The graded and fpart properties read that form back from the term map."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        graded: Optional[Mapping[int, object]] = None,
+        fpart: Optional[Mapping[Tuple[int, int], Scalar]] = None,
+    ):
+        terms: dict[Key, Scalar] = {}
+        if graded:
+            for i, p in graded.items():
+                if type(i) is not int:
+                    i = _index(i, "grade")
+                for t, c in enumerate(hpoly.trim(p)):
+                    if c:
+                        terms[(("v", i, t),)] = c
+        if fpart:
+            for (s, t), c in fpart.items():
+                if type(s) is not int or type(t) is not int or s < 0 or t < 0:
+                    s, t = eunit_atom(s, t)[1:]
+                c = hpoly.exact(c)
+                if c:
+                    terms[(("e", s, t),)] = c
+        self.n, self.terms = 1, terms
+
+    @staticmethod
+    def zero() -> "Element1":
+        return Element1()
+
+    @staticmethod
+    def one() -> "Element1":
+        return Element1({0: hpoly.ONE})
+
+    @classmethod
+    def from_generator(cls, name: str) -> "Element1":
+        """Build a generator: 'x', 'd', 'I', 'H', or 'e(s,t)'."""
+        if name in _GENERATORS:
+            return cls(_GENERATORS[name])
+        m = _EUNIT_NAME.match(name)
+        if m:
+            return cls(fpart={(int(m.group(1)), int(m.group(2))): 1})
+        raise ValueError(f"unknown generator {name!r}")
+
+    # The product is ElementN's; this separate entry lets perfbench's tracer
+    # time rank-1 products apart from rank-n ones.
+    def __mul__(self, other: "Element1") -> "Element1":
+        return _product(self, other)
+
+    @property
+    def graded(self) -> dict[int, hpoly.HPoly]:
+        """The graded part, grade i -> b_i(H), read from the term map."""
+        blocks = _last_slot_blocks(self.terms).get((), ())
+        return {i: p for (tag, i, p), _ in blocks if tag == "v"}
+
+    @property
+    def fpart(self) -> dict[Tuple[int, int], Scalar]:
+        """The e-part, (s, t) -> coefficient, read from the term map."""
+        return {(s, t): c for ((tag, s, t),), c in self.terms.items() if tag == "e"}
+
+    def atoms(self):
+        """The term map as (atom, coefficient) pairs."""
+        for (atom,), c in self.terms.items():
+            yield atom, c
+
+    def support_vector(self) -> dict[Atom, Scalar]:
+        return dict(self.atoms())
+
+    def fdegree(self) -> int:
+        """Size of the smallest square e-index block containing the e-part; -1 if none."""
+        return max((max(s, t) for s, t in self.fpart), default=-1)
+
+    def grade_component(self, i: int) -> "Element1":
+        """The degree-i component: v_i b_i(H) plus all e(s,t) with s - t = i."""
+        return self._make(1, {k: c for k, c in self.terms.items() if atom_grade(k[0]) == i})
+
+    def grades(self) -> set[int]:
+        return {atom_grade(atom) for (atom,) in self.terms}
+
+    def transpose(self) -> "Element1":
+        """Matrix transpose in the divided-power basis: d <-> I, H fixed, e(s,t) -> e(t,s).
+
+        An involutive anti-automorphism: v_i b(H) -> b(H) v_{-i} = v_{-i} b(H-i).
+        """
+        g = {-i: hpoly.shift(p, -i) for i, p in self.graded.items()}
+        f = {(t, s): c for (s, t), c in self.fpart.items()}
+        return Element1(g, f)
+
+
 def lift(factor: int, a: Element1, n: int) -> ElementN:
-    """Embed a rank-1 operator into the given tensor slot (1-based)."""
+    """Embed a rank-1 operator into the given tensor slot (1-based).  The
+    terms are kept, so lift(1, a, 1) only re-tags a as an ElementN."""
+    n = check_rank(n)
     if not 1 <= factor <= n:
         raise ValueError(f"factor index {factor} out of range 1..{n}")
-    terms: dict[Key, Scalar] = {}
-    for atom, c in a.atoms():
-        key = tuple(atom if k == factor else ATOM_ONE for k in range(1, n + 1))
-        terms[key] = c
-    return ElementN(n, terms)
+    if a.n != 1:
+        raise ValueError(f"expected rank 1, got rank {a.n}")
+    before, after = (ATOM_ONE,) * (factor - 1), (ATOM_ONE,) * (n - factor)
+    return ElementN._make(n, {before + key + after: c for key, c in a.terms.items()})
 
 
 def to_element1(a: ElementN) -> Element1:
+    """View a rank-1 ElementN as an Element1; the terms are kept."""
     if a.n != 1:
         raise ValueError(f"expected rank 1, got rank {a.n}")
-    return from_atoms(((key[0], c) for key, c in a.terms.items()))
+    return Element1._make(1, a.terms)
 
 
 def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int, ...], Fraction]:
@@ -265,6 +448,7 @@ class BnElement(_Terms):
 
     @staticmethod
     def one(n: int) -> "BnElement":
+        n = check_rank(n)
         return BnElement(n, {((0, 0),) * n: 1})
 
     def __mul__(self, other: "BnElement") -> "BnElement":

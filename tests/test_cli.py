@@ -74,6 +74,16 @@ class TestNorm:
         assert code == 1
         assert "error" in err
 
+    def test_rank_budget(self, capsys):
+        from idop.tensor import MAX_RANK
+
+        code, out, err = run(capsys, "norm", "--n", str(MAX_RANK + 1), "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: rank {MAX_RANK + 1} exceeds the budget {MAX_RANK}\n"
+        code, out, err = run(capsys, "norm", "--n", str(MAX_RANK), f"x_{MAX_RANK}*d_1")
+        assert (code, err) == (0, "")
+        assert out == f"d_1*I_{MAX_RANK}*H_{MAX_RANK}\n"
+
     def test_index_error_exit_code(self, capsys):
         code, _, err = run(capsys, "norm", "--n", "2", "x_5")
         assert code == 1

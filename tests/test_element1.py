@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idop import element
+from idop import tensor
 from idop.element import D_ATOM, X_ATOM, Element1, _generator_product, atom_mul, from_atoms
+from idop.expr import parse_element
 from idop.oracle import consistent, to_matrix
 from idop.tensor import BnElement, apply_n, lift, project_bn
 from conftest import atoms, elements1, polys1
@@ -75,14 +76,35 @@ class TestAtomMul:
         assert a * b == expected
 
     def test_mul_multiplies_graded_components_whole(self, monkeypatch):
-        # one block product per pair of blocks, so a dense graded component is
-        # shifted once, not once per atom
-        a, b = (X + D).power(8), X + D + e(1, 2)
-        calls = []
-        block_mul = element._block_mul
-        monkeypatch.setattr(element, "_block_mul", lambda l, r: calls.append(1) or block_mul(l, r))
-        a * b
-        assert len(calls) == len(list(a.blocks())) * len(list(b.blocks())) == 9 * 3
+        # The one product calls _block_mul once per pair of last-slot blocks
+        # (a grade under one head, or one e-unit), so a dense graded component
+        # is shifted once, not once per atom.  The heads below are graded
+        # atoms, so no head product vanishes and every pair is multiplied.
+        cases = [
+            ((X + D).power(8), X + D + e(1, 2), 9 * 3),
+            (
+                parse_element("(x_1 + d_2 + I_1*H_2)^4", 2),
+                parse_element("x_2 + e(1,2)_2 - d_1", 2),
+                None,
+            ),
+            (
+                parse_element("(x_1*d_2 + H_3 + I_2)^3", 3),
+                parse_element("d_3 + e(0,1)_3*x_1", 3),
+                None,
+            ),
+        ]
+        block_mul = tensor._block_mul
+        for a, b, expected in cases:
+            calls = []
+            monkeypatch.setattr(tensor, "_block_mul", lambda l, r: calls.append(1) or block_mul(l, r))
+            a * b
+            assert len(calls) == last_slot_blocks(a) * last_slot_blocks(b)
+            assert expected is None or len(calls) == expected
+
+
+def last_slot_blocks(a):
+    """The number of last-slot blocks: one per grade under each head, one per e-unit."""
+    return len({(k[:-1], k[-1][1] if k[-1][0] == "v" else k[-1]) for k in a.terms})
 
 
 class TestAtomProduct:

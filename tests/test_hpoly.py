@@ -15,7 +15,7 @@ def test_trim_drops_trailing_zeros():
 
 def test_add_cancels():
     p = hpoly.trim([1, 2])
-    assert hpoly.add(p, hpoly.neg(p)) == ()
+    assert hpoly.add(p, hpoly.scale(-1, p)) == ()
 
 
 def test_mul():

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idop.element import Element1
+from idop.expr import parse_element, parse_poly
+from idop.oracle import consistent
 from idop.tensor import (
+    MAX_RANK,
     BnElement,
     ElementN,
     apply_n,
@@ -15,7 +19,7 @@ from idop.tensor import (
     project_bn,
     to_element1,
 )
-from conftest import elements1, elements_n, polys_n
+from conftest import coefficients, elements1, elements_n, polys_n
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -151,6 +155,63 @@ class TestMul:
     @settings(max_examples=15, deadline=None)
     def test_associative_rank3(self, a, b, c):
         assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def dense_last_slot(draw, n):
+    """A rank-n operator whose last slot holds dense graded components: under
+    each of one or two heads, every H-power up to a drawn degree of one grade,
+    and possibly an e-unit.  Grades stay in [-2, 2] and e-unit indices below
+    3, so a product keeps a nonempty oracle window at N = 8 (rank 2) and
+    N = 5 (rank 3)."""
+    small = st.one_of(
+        st.tuples(st.just("v"), st.integers(-2, 2), st.integers(0, 2)),
+        st.tuples(st.just("e"), st.integers(0, 2), st.integers(0, 2)),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        head = draw(st.tuples(*[small] * (n - 1)))
+        grade = draw(st.integers(-2, 2))
+        coeffs = draw(st.lists(coefficients, min_size=2, max_size=5))
+        for t, c in enumerate(coeffs):
+            terms[head + (("v", grade, t),)] = c
+        if draw(st.booleans()):
+            terms[head + (draw(small),)] = draw(coefficients)
+    return ElementN(n, terms)
+
+
+class TestDenseProducts:
+    @given(dense_last_slot(2), dense_last_slot(2), polys_n())
+    @settings(max_examples=25, deadline=None)
+    def test_rank2(self, a, b, p):
+        assert apply_n(a * b, p) == apply_n(a, apply_n(b, p))
+        assert consistent(a, b, 8)
+
+    @given(dense_last_slot(3), dense_last_slot(3), polys_n(n=3))
+    @settings(max_examples=15, deadline=None)
+    def test_rank3(self, a, b, p):
+        assert apply_n(a * b, p) == apply_n(a, apply_n(b, p))
+        assert consistent(a, b, 5)
+
+
+class TestRankBudget:
+    def test_largest_rank_works(self):
+        a = parse_element(f"x_{MAX_RANK}*d_1", MAX_RANK)
+        assert a * ElementN.one(MAX_RANK) == a
+        assert apply_n(a, parse_poly(f"x1*x{MAX_RANK}", MAX_RANK))
+
+    def test_larger_rank_is_refused(self):
+        n = MAX_RANK + 1
+        for build in (
+            lambda: ElementN.one(n),
+            lambda: BnElement.one(n),
+            lambda: ElementN(n),
+            lambda: lift(1, D, n),
+            lambda: parse_element("1", n),
+            lambda: parse_poly("1", n),
+        ):
+            with pytest.raises(ValueError, match=f"rank {n} exceeds the budget {MAX_RANK}"):
+                build()
 
 
 class TestApply:
