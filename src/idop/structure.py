@@ -16,9 +16,8 @@ factors) and the census of realized label tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
@@ -32,8 +31,7 @@ Label = str  # "A", "F" or "L"
 CensusLabel = Tuple[Label, ...]
 
 
-@dataclass
-class SplitTriple:
+class SplitTriple(NamedTuple):
     a_part: Element1
     f_part: Element1
     l_part: Element1
@@ -279,8 +277,7 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     return dims
 
 
-@dataclass
-class MultiplicityReport:
+class MultiplicityReport(NamedTuple):
     """Growth-degree fit from finite differences of a dimension sequence.
 
     `second_difference` is the stabilized second difference; for quadratic

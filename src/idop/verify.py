@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .element import Element1
 from .oracle import (
@@ -50,8 +49,7 @@ ORACLE_WINDOW = 24
 FILTRATION_DIMS_ONE_I = [2, 7, 15, 26, 40, 57, 77, 100, 126, 155, 187, 222, 260, 301, 345]
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
