@@ -193,12 +193,10 @@ def atom_mul(left: Atom, right: Atom) -> "Element1":
         rb = (0,) * rb + (1,)
     terms: dict = {}
     for (tag, a, b), c in _block_mul((ltag, la, lb), (rtag, ra, rb)):
-        if tag == "e":
+        if tag == "v":
+            terms.update(((("v", a, t),), pc) for t, pc in enumerate(b) if pc)
+        else:
             terms[(("e", a, b),)] = c
-            continue
-        for t, pc in enumerate(b):
-            if pc:
-                terms[(("v", a, t),)] = pc
     return Element1._make(1, terms)
 
 

@@ -186,18 +186,6 @@ def _last_slot_blocks(terms: Mapping[Key, Scalar]) -> dict[Key, list]:
     return out
 
 
-def _head_product(h1: Key, h2: Key) -> dict[Key, Scalar]:
-    """The tensor product of the slot-wise atom products of two heads, as a
-    map head -> coefficient; {(): 1} for the empty heads of rank 1."""
-    out: dict[Key, Scalar] = {(): 1}
-    for a1, a2 in zip(h1, h2):
-        slot = atom_mul(a1, a2).terms
-        out = {h + k: c * cs for h, c in out.items() for k, cs in slot.items()}
-        if not out:
-            break
-    return out
-
-
 def _product(a: "ElementN", b: object):
     """The product of a and b in canonical form: a scalar scales a; an operand
     of a's class and rank is multiplied block by block.
@@ -216,22 +204,23 @@ def _product(a: "ElementN", b: object):
     right = _last_slot_blocks(b.terms)
     for h1, blocks1 in _last_slot_blocks(a.terms).items():
         for h2, blocks2 in right.items():
-            heads = list(_head_product(h1, h2).items())
+            heads: dict[Key, Scalar] = {}  # the head products, {(): 1} at rank 1
+            _collect(heads, 1, [list(atom_mul(a1, a2).atoms()) for a1, a2 in zip(h1, h2)])
             if not heads:
                 continue
             for b1, c1 in blocks1:
                 for b2, c2 in blocks2:
                     for block, c in _block_mul(b1, b2):
                         c *= c1 * c2
-                        tag, i, p = block
-                        if tag == "e":
-                            for head, ch in heads:
+                        if block[0] == "e":
+                            for head, ch in heads.items():
                                 key = head + (block,)
                                 eunits[key] = eunits.get(key, 0) + c * ch
                             continue
-                        for head, ch in heads:
-                            q, s = graded.get((head, i)), hpoly.scale(c * ch, p)
-                            graded[(head, i)] = s if q is None else hpoly.add(q, s)
+                        _, i, p = block
+                        for head, ch in heads.items():
+                            q = graded.get((head, i), hpoly.ZERO)
+                            graded[(head, i)] = hpoly.add(q, hpoly.scale(c * ch, p))
     terms: dict[Key, Scalar] = {}
     for (head, i), p in graded.items():
         for t, c in enumerate(p):
