@@ -260,16 +260,22 @@ def consistent(a, b, N: int) -> bool:
     ua, ub = up(a), up(b)
     if N <= ua + ub:
         raise ValueError(f"empty validity window: N={N} <= up(a)+up(b)={ua + ub}")
-    matrix = to_matrix if a.n == 1 else to_matrix_n  # to_matrix_n is ~4x slower at rank 1
-    prod = matrix(a * b, N)
-    mm = matrix(a, N) @ matrix(b, N)
-    n, dim = a.n, prod.dim
-    strides = [N ** (n - 1 - k) for k in range(n)]
-    window = [
-        sum(s * st for s, st in zip(multi, strides))
-        for multi in _multi_indices(N, n)
-        if all(s + ua + ub < N for s in multi)
-    ]
+    if a.n == 1:  # to_matrix_n is about 4x slower at rank 1
+        prod = to_matrix(a * b, N)
+        mm = to_matrix(a, N) @ to_matrix(b, N)
+        dim = N
+        window = range(N - ua - ub)
+    else:
+        prod = to_matrix_n(a * b, N)
+        mm = to_matrix_n(a, N) @ to_matrix_n(b, N)
+        n = a.n
+        strides = [N ** (n - 1 - k) for k in range(n)]
+        dim = N**n
+        window = [
+            sum(s * st for s, st in zip(multi, strides))
+            for multi in _multi_indices(N, n)
+            if all(s + ua + ub < N for s in multi)
+        ]
     for s in window:
         for r in range(dim):
             if prod.entries[r][s] != mm.entries[r][s]:
