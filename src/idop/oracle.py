@@ -297,7 +297,10 @@ class RowReducer:
     stores the same rows with the same signs.  Stored rows are not reduced
     against each other below their leading keys: the echelon form is enough
     for the rank, and every intermediate value stays an exact integer.
-    Insertion order does not affect the final rank.
+    Insertion order does not affect the final rank.  add returns the row it
+    stored, so that a caller can build on the reduced row rather than on its
+    input (the filtration extends it); the row stays the reducer's, and
+    callers must not mutate it.
     """
 
     __slots__ = ("_pivots",)
@@ -314,16 +317,20 @@ class RowReducer:
         """The stored rows, read-only; tracing reads their entry widths."""
         return self._pivots.values()
 
-    def add(self, row: Mapping) -> bool:
-        """Reduce a sparse rational row; returns True if it enlarged the row space."""
+    def add(self, row: Mapping) -> Optional[dict]:
+        """Reduce a sparse rational row and store it if it enlarged the row space.
+
+        Returns the stored row (the integer echelon row, never empty) or None
+        when the row is dependent.  The stored row stays the reducer's own:
+        callers may read and extend it but must not mutate it."""
         r = _integer_row(row)
         pivots = self._pivots
         while r:
             pk = min(r)
             prow = pivots.get(pk)
             if prow is None:
-                pivots[pk] = _strip_content(r)
-                return True
+                r = pivots[pk] = _strip_content(r)
+                return r
             c, p = r[pk], prow[pk]
             g = math.gcd(c, p) if p > 0 else -math.gcd(c, p)
             c, p = c // g, p // g  # p > 0, and on filtration rows almost always 1
@@ -335,7 +342,7 @@ class RowReducer:
                     r[k] = d
                 else:
                     r.pop(k, None)
-        return False
+        return None
 
 
 def _integer_row(row: Mapping) -> dict:

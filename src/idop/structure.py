@@ -226,14 +226,24 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     x^c d^e x = x^{c+1} d^e + e x^c d^{e-1} keep every side product of a word
     in the next level.
 
-    Only the elements k whose rows were kept at level i-1 are multiplied, and
-    only by the moves that keep a word x^a d^b g x^c d^e normal.  The moves are
-    numbered 0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged
-    with the move that made it (generators with 3) and is extended only by
-    moves <= its tag.  Let S_i be V_{i-1} plus the span of these extensions.
-    As {x, d} V_{i-2} and V_{i-2} {x, d} lie in V_{i-1}, and a kept k with
-    tag t is move t of some k' in V_{i-2}, S_i = V_i follows move by move,
-    each line using the ones above it:
+    Only the elements kept at level i-1 are multiplied, and only by the moves
+    that keep a word x^a d^b g x^c d^e normal.  The moves are numbered
+    0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged with the
+    move that made it (generators with 3) and is extended only by moves <= its
+    tag.  A kept element is the row that RowReducer.add stored for it, not the
+    candidate row it was handed, so its extensions do not bring back the
+    pivots already cleared from it.
+
+    Within a level the moves run in the order 0, 1, 2, 3 over all kept
+    elements, so that the elements allowing the fewest extensions are kept
+    first.  So a candidate made at level i-1 by move t is reduced only against
+    rows of V_{i-2} and rows stored earlier at its level by moves s <= t, and
+    every row stored with tag t lies in W_t = V_{i-2} + the sum over s <= t of
+    move_s(V_{i-2}): it is a positive multiple of its candidate minus such
+    rows.  Let S_i be V_{i-1} plus the span of the extensions.  As
+    {x, d} V_{i-2} and V_{i-2} {x, d} lie in V_{i-1}, and a kept k with tag t
+    lies in W_t, S_i = V_i follows move by move, each line using the ones
+    above it (k' in V_{i-2}):
 
       x V_{i-1} lies in S_i, as move 0 is always allowed;
       d V_{i-1}, as d (x k') = x (d k') + k';
@@ -241,15 +251,24 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
       V_{i-1} x, as (k' d) x = (k' x) d + k', (d k') x = d (k' x) and
       (x k') x = x (k' x).
 
-    Within a level the moves run in the order 0, 1, 2, 3 over all fresh
-    elements, so that the elements allowing the fewest extensions are kept
-    first; any order gives the same spans.  Each dimension is an exact
-    rational rank over the union of support atoms; the result is
-    nondecreasing and independent of generator order.  Kept elements are held
-    as support rows over the process-wide column ids (_COLUMNS), and each move
-    is a sparse sum over that move's column table, filled in closed form by
-    element._generator_product.  The newest atom of a row leads it in the
-    RowReducer.  As the tables are shared, calls must not run concurrently.
+    The same lines show that extending stored rows keeps every decision that
+    extending the candidates themselves would make.  A kept row r is a
+    positive multiple of its candidate c minus rows held before c: rows of
+    V_{i-2} and rows kept before r at level i-1.  When move m reaches r,
+    the reducer already spans move m of each of them: of V_{i-2} within
+    V_{i-1}; of a row with a tag >= m as a candidate made just before; of a
+    row with a tag < m, by the lines above, within V_{i-1} and the images of
+    the moves < m.  So move m of r is a positive multiple of move m of c plus
+    an element already spanned, and the same candidates are kept: the rows
+    added stay the same.
+
+    Each dimension is an exact rational rank over the union of support atoms;
+    the result is nondecreasing and independent of generator order.  Kept
+    elements are held as support rows over the process-wide column ids
+    (_COLUMNS), and each move is a sparse sum over that move's column table,
+    filled in closed form by element._generator_product.  The newest atom of
+    a row leads it in the RowReducer.  As the tables are shared, calls must
+    not run concurrently.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -265,14 +284,13 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     if len(_ATOMS) >= COLUMN_CAP:
         _reset_columns()
     red = RowReducer()
-    rows = (_row(g) for g in generators)
-    fresh = [(row, 3) for row in rows if red.add(row)]
+    fresh = [(row, 3) for g in generators if (row := red.add(_row(g)))]
     dims = [red.rank]
     for _ in range(i_max):
         candidates = (
             (_move(k, m), m) for m in range(4) for k, tag in fresh if m <= tag
         )
-        fresh = [(c, m) for c, m in candidates if red.add(c)]
+        fresh = [(row, m) for c, m in candidates if (row := red.add(c))]
         dims.append(red.rank)
     return dims
 

@@ -70,8 +70,10 @@ class _Terms:
     """A sparse map key -> nonzero coefficient at a fixed tensor rank n >= 1.
 
     The constructor and linear operations of ElementN and BnElement; each
-    subclass validates its keys in _check_key.  + and == take only values of
-    the same class.  Values are immutable by convention."""
+    subclass validates its keys in _check_key.  + and == take values of one
+    family (_family): Element1 and ElementN mix, and a sum is an Element1 only
+    when both operands are; BnElement stays apart.  Values are immutable by
+    convention."""
 
     __slots__ = ("n", "terms")
 
@@ -103,7 +105,7 @@ class _Terms:
         return not self.terms
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
+        if not isinstance(other, self._family):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
@@ -114,7 +116,7 @@ class _Terms:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
 
     def __add__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, self._family):
             return NotImplemented
         self._require_same_rank(other)
         out = dict(self.terms)
@@ -124,7 +126,8 @@ class _Terms:
                 out[k] = d
             else:
                 out.pop(k, None)
-        return self._make(self.n, out)
+        cls = type(self) if type(other) is type(self) else self._family
+        return cls._make(self.n, out)
 
     def scale(self, c: Scalar):
         c = hpoly.exact(c)
@@ -187,8 +190,9 @@ def _last_slot_blocks(terms: Mapping[Key, Scalar]) -> dict[Key, list]:
 
 
 def _product(a: "ElementN", b: object):
-    """The product of a and b in canonical form: a scalar scales a; an operand
-    of a's class and rank is multiplied block by block.
+    """The product of a and b in canonical form: a scalar scales a; an
+    ElementN of a's rank is multiplied block by block, and the product is an
+    Element1 only when both operands are.
 
     Each pair of heads is multiplied once, slot by slot with atom_mul, and
     each pair of last-slot blocks under them once, with _block_mul.  Graded
@@ -196,7 +200,7 @@ def _product(a: "ElementN", b: object):
     graded component is shifted and multiplied once, not once per atom."""
     if isinstance(b, (int, Fraction)):
         return a.scale(b)
-    if not isinstance(b, type(a)):
+    if not isinstance(b, ElementN):
         return NotImplemented
     a._require_same_rank(b)
     graded: dict[Tuple[Key, int], hpoly.HPoly] = {}
@@ -229,7 +233,7 @@ def _product(a: "ElementN", b: object):
     for key, c in eunits.items():
         if c:
             terms[key] = c
-    return type(a)._make(a.n, terms)
+    return (type(a) if type(b) is type(a) else ElementN)._make(a.n, terms)
 
 
 class ElementN(_Terms):
@@ -269,6 +273,9 @@ class ElementN(_Terms):
         return format_terms(terms)
 
     __repr__ = __str__
+
+
+ElementN._family = ElementN
 
 
 def _atom_str(atom: Atom, suffix: str) -> str:
@@ -480,6 +487,9 @@ class BnElement(_Terms):
         return format_terms(terms)
 
     __repr__ = __str__
+
+
+BnElement._family = BnElement
 
 
 def project_bn(a: ElementN) -> BnElement:

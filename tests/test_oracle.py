@@ -287,10 +287,13 @@ class TestExactRank:
         assert exact_rank(scaled) == base
 
     def test_incremental_reducer(self):
+        # add returns the row it stored, the reducer's own dict, or None
         red = RowReducer()
-        assert red.add({0: 1, 1: 2})
-        assert not red.add({0: 2, 1: 4})
-        assert red.add({1: 1})
+        first = red.add({0: 2, 1: 4})
+        assert first == {0: 1, 1: 2} and first is red._pivots[0]
+        assert red.add({0: Fraction(1, 2), 1: 1}) is None
+        second = red.add({0: 3, 1: 5, 2: 3})
+        assert second == {1: -1, 2: 3} and second is red._pivots[1]
         assert red.rank == 2
 
     def test_cross_check_against_sympy(self):
@@ -329,7 +332,11 @@ class TestExactRank:
         # stripping content only when a row is stored leaves every stored row,
         # its sign and every verdict as stripping after each step does
         red = RowReducer()
-        kept = [red.add(row) for row in rows]
+        kept = []
+        for row in rows:
+            stored = red.add(row)
+            assert stored is None or stored is red._pivots[min(stored)]
+            kept.append(bool(stored))
         assert (red._pivots, kept) == step_strip_pivots(rows)
 
     @given(atom_rows())

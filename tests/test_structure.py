@@ -47,6 +47,9 @@ TWO_GENERATORS = [
     3 * D.power(3) * H.power(3) + 8 * I.power(2) * H.power(2) - 5 * e(4, 5),
     8 * e(2, 5) - e(0, 5),
 ]
+STORED_DIFFERS_BY_CONTENT = [2 * I + 4 * I * H]
+STORED_DIFFERS_BY_RESCALE = [2 * I + 3 * D, I + D]  # whichever atom leads
+STORED_DIFFERS_BY_DENOMINATORS = [Fraction(1, 2) * X + Fraction(1, 3) * e(0, 1)]
 
 
 class TestSplit:
@@ -241,9 +244,48 @@ class TestFiltrationDims:
     @example([I, E00], 16)
     @example([D * H, I.power(2)], 16)
     @example([D * H.power(2) + 2 * e(1, 2)], 16)
+    # stored rows that differ from the rows handed to the reducer, by content
+    # stripping, by the rescale of a row whose leading entry the pivot's does
+    # not divide, and by clearing denominators
+    @example(STORED_DIFFERS_BY_CONTENT, 6)
+    @example(STORED_DIFFERS_BY_RESCALE, 6)
+    @example(STORED_DIFFERS_BY_DENOMINATORS, 6)
     @settings(max_examples=40, deadline=None)
     def test_matches_word_enumeration(self, gens, i_max):
         assert bimodule_filtration_dims(gens, i_max) == brute_filtration_dims(gens, i_max)
+
+    def test_moves_extend_stored_rows(self, monkeypatch):
+        # every kept element is extended from the row its reducer stored, not
+        # from the row it was handed
+        add, move = RowReducer.add, structure._move
+        reducers, added, moved = [], 0, 0
+
+        def recording_add(self, row):
+            nonlocal added
+            added += 1
+            if self not in reducers:
+                reducers.append(self)
+            return add(self, row)
+
+        def checked_move(row, m):
+            nonlocal moved
+            moved += 1
+            (red,) = reducers
+            assert red._pivots.get(min(row)) is row
+            return move(row, m)
+
+        monkeypatch.setattr(RowReducer, "add", recording_add)
+        monkeypatch.setattr(structure, "_move", checked_move)
+        for gens in (
+            [Element1.one(), I],
+            STORED_DIFFERS_BY_CONTENT,
+            STORED_DIFFERS_BY_RESCALE,
+            STORED_DIFFERS_BY_DENOMINATORS,
+        ):
+            reducers.clear()
+            added = moved = 0
+            bimodule_filtration_dims(gens, 8)
+            assert moved == added - len(gens) > 0
 
     def test_rows_added_per_level(self, monkeypatch):
         # only the elements kept at the previous level are extended, and only

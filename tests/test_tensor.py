@@ -119,7 +119,7 @@ class TestMul:
 
     def test_operator_and_quotient_do_not_mix(self):
         a, b = ElementN.one(1), BnElement.one(1)
-        for x, y in ((a, b), (b, a)):
+        for x, y in ((a, b), (b, a), (Element1.one(), b), (b, Element1.one())):
             with pytest.raises(TypeError):
                 x + y
             with pytest.raises(TypeError):
@@ -128,6 +128,28 @@ class TestMul:
                 x * y
         assert ElementN.zero(1) != BnElement.zero(1)
         assert not ElementN.zero(1) == BnElement.zero(1)
+
+    def test_rank1_values_of_both_classes_mix(self):
+        # Element1 is the rank-1 ElementN: its values compare and combine with
+        # rank-1 ElementN values, and a result is an Element1 only when both
+        # operands are
+        a = X
+        b = lift(1, a, 1)
+        assert a == b and b == a
+        for got, want in (
+            (a + b, 2 * a),
+            (b + a, 2 * a),
+            (a - b, ElementN.zero(1)),
+            (a * b, a * a),
+            (b * a, a * a),
+        ):
+            assert type(got) is ElementN
+            assert got == want
+        assert type(a + a) is type(a * a) is type(-a) is Element1
+        with pytest.raises(ValueError):
+            a + ElementN.one(2)
+        with pytest.raises(ValueError):
+            a * ElementN.one(2)
 
     def test_power(self):
         a = lift(1, I, 2) + lift(2, D, 2)
