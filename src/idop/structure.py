@@ -239,8 +239,8 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
     first.  So a candidate made at level i-1 by move t is reduced only against
     rows of V_{i-2} and rows stored earlier at its level by moves s <= t, and
     every row stored with tag t lies in W_t = V_{i-2} + the sum over s <= t of
-    move_s(V_{i-2}): it is a positive multiple of its candidate minus such
-    rows.  Let S_i be V_{i-1} plus the span of the extensions.  As
+    move_s(V_{i-2}): it is a positive multiple of its candidate minus a
+    combination of such rows.  Let S_i be V_{i-1} plus the span of the extensions.  As
     {x, d} V_{i-2} and V_{i-2} {x, d} lie in V_{i-1}, and a kept k with tag t
     lies in W_t, S_i = V_i follows move by move, each line using the ones
     above it (k' in V_{i-2}):
@@ -253,8 +253,8 @@ def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list
 
     The same lines show that extending stored rows keeps every decision that
     extending the candidates themselves would make.  A kept row r is a
-    positive multiple of its candidate c minus rows held before c: rows of
-    V_{i-2} and rows kept before r at level i-1.  When move m reaches r,
+    positive multiple of its candidate c minus a combination of rows held
+    before c: rows of V_{i-2} and rows kept before r at level i-1.  When move m reaches r,
     the reducer already spans move m of each of them: of V_{i-2} within
     V_{i-1}; of a row with a tag >= m as a candidate made just before; of a
     row with a tag < m, by the lines above, within V_{i-1} and the images of
