@@ -67,12 +67,10 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text", help="output encoding")
+    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument("--n", type=_positive_int, default=1, help="tensor rank (default 1)")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output encoding"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     parser = _Parser(prog="idop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", parents=[common], help="two-sided filtration dimensions (rank 1)")
     p.add_argument("--gen", required=True, help="comma-separated generator expressions")
     p.add_argument("--max", dest="i_max", type=int, required=True, help="largest filtration index")
-    p = sub.add_parser("verify", parents=[common], help="run the verification suites")
+    p = sub.add_parser("verify", parents=[fmt], help="run the verification suites")
     p.add_argument(
         "--suite",
         default="all",
@@ -106,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_positive_int, default=None, help="override randomized sample counts"
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     return parser
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index, from_atoms
+from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index
 from .oracle import RowReducer
 from .tensor import ElementN
 
@@ -41,13 +41,12 @@ class SplitTriple(NamedTuple):
 
 
 def split(a: Element1) -> SplitTriple:
-    """Decompose into differential-operator, e-span and complement components,
-    summing the labeller _atom_label_parts over the atoms of a."""
-    parts: dict[Label, list[Tuple[Atom, Scalar]]] = {"A": [], "F": [], "L": []}
-    for atom, c in a.atoms():
-        for label, part, cc in _atom_label_parts(atom):
-            parts[label].append((part, c * cc))
-    return SplitTriple(*(from_atoms(parts[label]) for label in "AFL"))
+    """Decompose into differential-operator, e-span and complement components:
+    the rank-1 label components of _label_components."""
+    if a.n != 1:
+        raise ValueError(f"expected rank 1, got rank {a.n}")
+    comps = _label_components(a)
+    return SplitTriple(*(Element1._make(1, comps.get((label,), {})) for label in "AFL"))
 
 
 def in_a_span(e: Element1) -> bool:

@@ -336,6 +336,16 @@ class TestUsage:
     def test_missing_argument(self, capsys):
         assert main(["norm"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["norm", "--seed", "3", "x"], "--seed"), (["verify", "--n", "2"], "--n")],
+    )
+    def test_flags_only_where_read(self, capsys, argv, flag):
+        # --seed is read only by verify, and verify runs no operator of a given rank
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: " + flag) and err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

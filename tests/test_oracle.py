@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idop import oracle
+from idop import oracle, tensor
 from idop.element import Element1
 from idop.oracle import (
     RowReducer,
@@ -20,7 +20,7 @@ from idop.oracle import (
     to_matrix_n,
     up,
 )
-from idop.tensor import apply_n, lift
+from idop.tensor import ElementN, apply_n, lift
 from conftest import atoms, elements1, elements_n
 
 D = Element1.from_generator("d")
@@ -109,6 +109,11 @@ class TestToMatrix:
         N = 10
         assert to_matrix(a + c * b, N) == to_matrix(a, N) + c * to_matrix(b, N)
 
+    @pytest.mark.parametrize("build", [to_matrix, to_matrix_monomial])
+    def test_wrong_rank(self, build):
+        with pytest.raises(ValueError, match="^expected rank 1, got rank 2$"):
+            build(lift(1, D, 2), 4)
+
     @given(elements1())
     @settings(max_examples=40, deadline=None)
     def test_monomial_matrix_matches_apply(self, a):
@@ -181,6 +186,19 @@ class TestConsistent:
         # the smallest size with a window of two columns per factor, as size**3
         # grows fast: the matrices have 8 to 1728 rows
         assert consistent(a, b, up(a) + up(b) + 2)
+
+    @pytest.mark.parametrize("n, N", [(1, 6), (2, 6), (3, 5)])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_extra_term_fails_inside_the_window_only(self, monkeypatch, n, N, inside):
+        # a product with one wrong term e(0,k) in every slot: it moves only the
+        # column (k, ..., k), the window's last when k = w - 1, just outside at k = w
+        a = b = ElementN(n, {(("v", 1, 0),) * n: 1})  # I in every slot: up = 1
+        w = N - up(a) - up(b)
+        k = w - 1 if inside else w
+        extra = ElementN(n, {(("e", 0, k),) * n: 1})
+        product = tensor._product
+        monkeypatch.setattr(tensor, "_product", lambda x, y: product(x, y) + extra)
+        assert consistent(a, b, N) is not inside
 
 
 class TestTensorMatrix:

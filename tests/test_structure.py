@@ -76,6 +76,11 @@ class TestSplit:
         assert parts.l_part == I.power(2) * H
         assert parts.f_part == E00
 
+    def test_wrong_rank(self):
+        # the label components of a rank-2 element have two labels, none of them split's
+        with pytest.raises(ValueError, match="^expected rank 1, got rank 2$"):
+            split(lift(1, X, 2))
+
     @given(elements1())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_and_spans(self, a):
