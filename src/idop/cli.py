@@ -14,7 +14,6 @@ import sys
 from typing import Optional
 
 from .expr import (
-    ExprSyntaxError,
     bn_to_json,
     element1_to_json,
     elementn_to_json,
@@ -36,7 +35,7 @@ from .tensor import apply_n, project_bn, to_element1
 from .verify import SUITES, run_suites
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     pass
 
 
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p = sub.add_parser("matrix", parents=[common], help="print the truncated matrix")
     p.add_argument("expr")
-    p.add_argument("--size", type=int, default=8, help="truncation size N (default 8)")
+    p.add_argument("--size", type=_positive_int, default=8, help="truncation size N (default 8)")
     p = sub.add_parser("dims", parents=[common], help="two-sided filtration dimensions (rank 1)")
     p.add_argument("--gen", required=True, help="comma-separated generator expressions")
     p.add_argument("--max", dest="i_max", type=int, required=True, help="largest filtration index")
@@ -152,20 +151,14 @@ def _cmd_apply(args) -> int:
 def _cmd_split(args) -> int:
     _require_rank1(args)
     parts = split(to_element1(parse_element(args.expr, 1)))
-    payload = {
-        "a_part": element1_to_json(parts.a_part),
-        "f_part": element1_to_json(parts.f_part),
-        "l_part": element1_to_json(parts.l_part),
-    }
-    text = f"A: {parts.a_part}\nF: {parts.f_part}\nL: {parts.l_part}"
+    payload = {name: element1_to_json(part) for name, part in parts._asdict().items()}
+    text = "\n".join(f"{label}: {part}" for label, part in zip("AFL", parts))
     _emit(args, payload, text)
     return 0
 
 
 def _cmd_socle(args) -> int:
     e = parse_element(args.expr, args.n)
-    if e.is_zero():
-        raise _CliError("the socle level of the zero element is undefined")
     level = socle_level(e)
     labels = sorted(census(e))
     payload = {"level": level, "census": [list(l) for l in labels]}
@@ -189,8 +182,6 @@ def _cmd_quot(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    if args.size < 1:
-        raise _CliError(f"--size must be positive, got {args.size}")
     mat = to_matrix_n(parse_element(args.expr, args.n), args.size)
     _emit(args, matrix_to_json(mat), repr(mat))
     return 0
@@ -201,25 +192,10 @@ def _cmd_dims(args) -> int:
     gens = [to_element1(parse_element(g, 1)) for g in _split_top_level(args.gen)]
     dims = bimodule_filtration_dims(gens, args.i_max)
     rep = multiplicity_report(dims)
-    payload = {
-        "dims": dims,
-        "report": None
-        if rep is None
-        else {
-            "degree": rep.degree,
-            "second_difference": rep.second_difference,
-            "stable_from": rep.stable_from,
-        },
-    }
-    lines = ["dims: " + " ".join(str(v) for v in dims)]
-    if rep is None:
-        lines.append("report: inconclusive")
-    else:
-        lines.append(
-            f"report: degree={rep.degree} second_difference={rep.second_difference}"
-            f" stable_from={rep.stable_from}"
-        )
-    _emit(args, payload, "\n".join(lines))
+    report = None if rep is None else rep._asdict()
+    fit = "inconclusive" if report is None else " ".join(f"{k}={v}" for k, v in report.items())
+    text = "dims: " + " ".join(str(v) for v in dims) + "\nreport: " + fit
+    _emit(args, {"dims": dims, "report": report}, text)
     return 0
 
 
@@ -227,24 +203,22 @@ def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed, samples=args.samples)
     passed = sum(1 for _, c in results if c.ok)
-    if args.format == "json":
-        payload = {
-            "suites": names,
-            "checks": [
-                {"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail}
-                for s, c in results
-            ],
-            "passed": passed,
-            "total": len(results),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for s, c in results:
-            line = f"{'PASS' if c.ok else 'FAIL'} {s}: {c.name}"
-            if not c.ok and c.detail:
-                line += f" -- {c.detail}"
-            print(line)
-        print(f"{passed}/{len(results)} checks passed")
+    payload = {
+        "suites": names,
+        "checks": [
+            {"suite": s, "name": c.name, "ok": c.ok, "detail": c.detail} for s, c in results
+        ],
+        "passed": passed,
+        "total": len(results),
+    }
+    lines = []
+    for s, c in results:
+        line = f"{'PASS' if c.ok else 'FAIL'} {s}: {c.name}"
+        if not c.ok and c.detail:
+            line += f" -- {c.detail}"
+        lines.append(line)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    _emit(args, payload, "\n".join(lines))
     return 0 if passed == len(results) else 2
 
 
@@ -279,10 +253,7 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExprSyntaxError, ValueError) as exc:
+    except ValueError as exc:  # syntax, usage and library errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help and friends

@@ -19,8 +19,9 @@ any path through the parse tree multiply to at most MAX_EXPONENT (60).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .element import Element1, atom_sort_key, format_terms
 from .tensor import BnElement, ElementN, check_rank, lift, to_element1
@@ -35,66 +36,45 @@ class ExprSyntaxError(ValueError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_GEN_NAMES = "xdIHe"
+
+class _Token(NamedTuple):
+    kind: str  # "num", "gen", "index", "end" or the operator character itself
+    value: object  # the integer of a num or index, the letter of a gen
+    index: Optional[int]  # a gen's factor index, if written
+    pos: int
 
 
-class _Token:
-    __slots__ = ("kind", "value", "index", "pos")
-
-    def __init__(self, kind: str, value=None, index: Optional[int] = None, pos: int = 0):
-        self.kind = kind
-        self.value = value
-        self.index = index
-        self.pos = pos
+# One token after optional whitespace (\s skips what str.lstrip strips).  Digits
+# are ASCII only: str.isdigit also accepts '²', which int() rejects, and '٣',
+# which it reads as 3.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)|(?P<gen>[xdIH])(?:_?(?P<gen_index>[0-9]+))?|(?P<e>e)"
+    r"|_(?P<index>[0-9]+)|(?P<op>[-+*^(),/]))"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^(),/":
-            tokens.append(_Token(ch, pos=i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), pos=i))
-            i = j
-            continue
-        if ch in _GEN_NAMES:
-            pos = i
-            i += 1
-            index = None
-            if ch != "e":
-                j = i
-                if j < n and text[j] == "_":
-                    j += 1
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k > j:
-                    index = int(text[j:k])
-                    i = k
-            tokens.append(_Token("gen", ch, index=index, pos=pos))
-            continue
-        if ch == "_":
-            j = i + 1
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
-            if k == j:
-                raise ExprSyntaxError("expected digits after '_'", i)
-            tokens.append(_Token("index", int(text[j:k]), pos=i))
-            i = k
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", pos=n))
+    i = 0
+    while m := _TOKEN.match(text, i):
+        i = m.end()
+        pos = i - len(m[0].lstrip())  # where the token starts; an index starts at its '_'
+        num, gen, gen_index, e, index, op = m.groups()
+        if op:
+            tokens.append(_Token(op, None, None, pos))
+        elif num:
+            tokens.append(_Token("num", int(num), None, pos))
+        elif index:
+            tokens.append(_Token("index", int(index), None, pos))
+        else:
+            tokens.append(_Token("gen", gen or e, int(gen_index) if gen_index else None, pos))
+    rest = text[i:].lstrip()
+    if rest:
+        pos = len(text) - len(rest)
+        if rest[0] == "_":
+            raise ExprSyntaxError("expected digits after '_'", pos)
+        raise ExprSyntaxError(f"unexpected character {rest[0]!r}", pos)
+    tokens.append(_Token("end", None, None, len(text)))
     return tokens
 
 

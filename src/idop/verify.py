@@ -360,7 +360,7 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 
 
 def run_suites(names: list[str], seed: int = 0, samples: Optional[int] = None) -> list[tuple[str, Check]]:
-    if samples is not None and (not isinstance(samples, int) or samples < 1):
+    if samples is not None and (type(samples) is not int or samples < 1):
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     unknown = [name for name in names if name not in SUITES]
     if unknown:

@@ -74,6 +74,11 @@ class TestNorm:
         assert code == 1
         assert "error" in err
 
+    def test_non_ascii_digit_is_syntax_error(self, capsys):
+        code, out, err = run(capsys, "norm", "x²")
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected character '²' (at position 1)\n"
+
     def test_rank_budget(self, capsys):
         from idop.tensor import MAX_RANK
 
@@ -164,7 +169,7 @@ class TestSocle:
     def test_zero_element(self, capsys):
         code, _, err = run(capsys, "socle", "0")
         assert code == 1
-        assert "undefined" in err
+        assert err == "error: the socle level of the zero element is undefined\n"
 
     def test_rank1_levels(self, capsys):
         code, out, _ = run(capsys, "socle", "I + x")
@@ -221,6 +226,7 @@ class TestMatrix:
     def test_bad_size(self, capsys):
         code, _, err = run(capsys, "matrix", "H", "--size", "0")
         assert code == 1
+        assert err == "error: argument --size: expected a positive integer, got 0\n"
 
     def test_dimension_budget(self, capsys):
         from idop.oracle import MAX_MATRIX_DIM
@@ -282,7 +288,7 @@ class TestVerify:
             assert len(err.splitlines()) == 1
             assert "--samples" in err
 
-    @pytest.mark.parametrize("samples", [0, -1, 1.5])
+    @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
     def test_library_samples_must_be_positive_integer(self, monkeypatch, samples):
         import idop.verify as verify
 

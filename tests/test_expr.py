@@ -72,6 +72,21 @@ class TestParseElement:
             parse_element("I*?", 1)
         assert exc.value.pos == 2
 
+    @pytest.mark.parametrize(
+        "parse, text, n, message, pos",
+        [
+            (parse_element, "x²", 1, "unexpected character '²'", 1),
+            (parse_element, "x٣", 3, "unexpected character '٣'", 1),  # not x_3
+            (parse_element, "e(0,0)_²", 1, "expected digits after '_'", 6),
+            (parse_poly, "x²", 1, "unexpected character '²'", 1),
+        ],
+    )
+    def test_digits_are_ascii(self, parse, text, n, message, pos):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text, n)
+        assert str(exc.value) == f"{message} (at position {pos})"
+        assert exc.value.pos == pos
+
     def test_unbalanced_parens(self):
         with pytest.raises(ExprSyntaxError):
             parse_element("(I*d", 1)
