@@ -129,11 +129,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _require_rank1(args) -> None:
-    if args.n != 1:
-        raise _CliError(f"this command requires rank 1, got --n {args.n}")
-
-
 def _cmd_norm(args) -> int:
     e = parse_element(args.expr, args.n)
     _emit(args, elementn_to_json(e), str(e))
@@ -149,8 +144,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    _require_rank1(args)
-    parts = split(to_element1(parse_element(args.expr, 1)))
+    parts = split(parse_element(args.expr, args.n))
     payload = {name: element1_to_json(part) for name, part in parts._asdict().items()}
     text = "\n".join(f"{label}: {part}" for label, part in zip("AFL", parts))
     _emit(args, payload, text)
@@ -168,8 +162,7 @@ def _cmd_socle(args) -> int:
 
 
 def _cmd_fdeg(args) -> int:
-    _require_rank1(args)
-    e = to_element1(parse_element(args.expr, 1))
+    e = to_element1(parse_element(args.expr, args.n))
     _emit(args, {"fdegree": e.fdegree()}, str(e.fdegree()))
     return 0
 
@@ -188,8 +181,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    _require_rank1(args)
-    gens = [to_element1(parse_element(g, 1)) for g in _split_top_level(args.gen)]
+    gens = [parse_element(g, args.n) for g in _split_top_level(args.gen)]
     dims = bimodule_filtration_dims(gens, args.i_max)
     rep = multiplicity_report(dims)
     report = None if rep is None else rep._asdict()

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
-from .tensor import ElementN
+from .tensor import ElementN, check_rank1
 
 Scalar = Union[int, Fraction]
 
@@ -155,8 +155,7 @@ def _divided_atom_action(atom: Atom, s: int) -> Optional[Tuple[int, int]]:
 
 def to_matrix(a: Element1, N: int) -> TruncMatrix:
     """Truncated matrix in the divided-power basis; images of degree >= N are dropped."""
-    if a.n != 1:
-        raise ValueError(f"expected rank 1, got rank {a.n}")
+    check_rank1(a)
     mat = TruncMatrix(N)
     for (atom,), c in a.terms.items():
         for s in range(N):

@@ -16,14 +16,13 @@ factors) and the census of realized label tuples.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
 from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index
 from .oracle import RowReducer
-from .tensor import ElementN
+from .tensor import ElementN, _collect, check_rank1
 
 MAX_FILTRATION_INDEX = 16
 
@@ -40,11 +39,10 @@ class SplitTriple(NamedTuple):
         return self.a_part + self.f_part + self.l_part
 
 
-def split(a: Element1) -> SplitTriple:
+def split(a: ElementN) -> SplitTriple:
     """Decompose into differential-operator, e-span and complement components:
     the rank-1 label components of _label_components."""
-    if a.n != 1:
-        raise ValueError(f"expected rank 1, got rank {a.n}")
+    check_rank1(a)
     comps = _label_components(a)
     return SplitTriple(*(Element1._make(1, comps.get((label,), {})) for label in "AFL"))
 
@@ -71,41 +69,32 @@ def in_l_span(e: Element1) -> bool:
     return all(i > 0 and hpoly.degree(b) < i for i, b in e.graded.items())
 
 
-def _atom_label_parts(atom: Atom) -> list[Tuple[Label, Atom, int]]:
-    """Classify a single basis atom, expanding across the three subspaces."""
-    tag, a, b = atom
+def _atom_label_parts(atom: Atom) -> list[Tuple[Tuple[Label, Atom], int]]:
+    """Split a basis atom into ((label, atom), coefficient) pairs.  I^i H^t with
+    i > 0 lies in L when t < i; else H^t = q R + r with R = H(H+1)...(H+i-1)
+    and deg r < i, and its A-part I^i q R is I^i (H^t - r), its L-part I^i r."""
+    tag, i, t = atom
     if tag == "e":
-        return [("F", atom, 1)]
-    i, t = a, b
+        return [(("F", atom), 1)]
     if i <= 0:
-        return [("A", atom, 1)]
-    mono = (0,) * t + (1,)
-    q, r = hpoly.divmod_monic(mono, hpoly.rising_factorial(i))
-    out: list[Tuple[Label, Atom, int]] = []
-    if q:
-        prod_poly = hpoly.mul(hpoly.rising_factorial(i), q)
-        out.extend(("A", ("v", i, m), c) for m, c in enumerate(prod_poly) if c)
-    out.extend(("L", ("v", i, m), c) for m, c in enumerate(r) if c)
-    return out
+        return [(("A", atom), 1)]
+    if t < i:
+        return [(("L", atom), 1)]
+    _, r = hpoly.divmod_monic((0,) * t + (1,), hpoly.rising_factorial(i))
+    rest = [(("v", i, m), c) for m, c in enumerate(r) if c]
+    a_part = [(("A", atom), 1)] + [(("A", b), -c) for b, c in rest]
+    return a_part + [(("L", b), c) for b, c in rest]
 
 
 def _label_components(a: ElementN) -> dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]]:
-    comps: dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]] = {}
+    parts: dict[Tuple[Tuple[Label, Atom], ...], Scalar] = {}
     for key, c in a.terms.items():
-        factor_parts = [_atom_label_parts(atom) for atom in key]
-        for combo in product(*factor_parts):
-            labels = tuple(lbl for lbl, _, _ in combo)
-            atoms = tuple(at for _, at, _ in combo)
-            coeff = c
-            for _, _, cc in combo:
-                coeff *= cc
-            acc = comps.setdefault(labels, {})
-            d = acc.get(atoms, 0) + coeff
-            if d:
-                acc[atoms] = d
-            else:
-                acc.pop(atoms, None)
-    return {labels: acc for labels, acc in comps.items() if acc}
+        _collect(parts, c, [_atom_label_parts(atom) for atom in key])
+    comps: dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]] = {}
+    for key, c in parts.items():
+        labels, atoms = zip(*key)
+        comps.setdefault(labels, {})[atoms] = c
+    return comps
 
 
 def census(a: ElementN) -> set[CensusLabel]:
@@ -188,8 +177,9 @@ def _reset_columns() -> None:
         table.clear()
 
 
-def _row(e: Element1) -> Row:
-    return {_column(a): c for a, c in e.atoms()}
+def _row(g: ElementN) -> Row:
+    check_rank1(g)
+    return {_column(a): c for (a,), c in g.terms.items()}
 
 
 def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
@@ -215,7 +205,7 @@ def _move(row: Row, m: int) -> Row:
     return {b: v for b, v in out.items() if v}
 
 
-def bimodule_filtration_dims(generators: Sequence[Element1], i_max: int) -> list[int]:
+def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list[int]:
     """Dimensions of V_i = span{x^a d^b g x^c d^e : g in generators, a+b+c+e <= i}.
 
     Computed by the recurrence V_0 = span(generators) and

@@ -66,6 +66,12 @@ def check_rank(n: object) -> int:
     return n
 
 
+def check_rank1(a: "_Terms") -> None:
+    """The rule of every rank-1 operation: its operand has rank 1."""
+    if a.n != 1:
+        raise ValueError(f"expected rank 1, got rank {a.n}")
+
+
 class _Terms:
     """A sparse map key -> nonzero coefficient at a fixed tensor rank n >= 1.
 
@@ -147,7 +153,9 @@ class _Terms:
 
 def _collect(out: dict, base: Scalar, factor_expansions: list) -> None:
     """Add base times every tensor product of the per-factor expansions, each a
-    list of (key part, coefficient) pairs, to out, dropping sums that cancel."""
+    list of (key part, coefficient) pairs, to out, dropping sums that cancel:
+    the heads of _product, BnElement.__mul__, project_bn, apply_n and
+    structure._label_components."""
     for combo in product(*factor_expansions):
         key = tuple(part for part, _ in combo)
         c = base
@@ -380,50 +388,33 @@ class Element1(ElementN):
 
 
 def lift(factor: int, a: Element1, n: int) -> ElementN:
-    """Embed a rank-1 operator into the given tensor slot (1-based).  The
-    terms are kept, so lift(1, a, 1) only re-tags a as an ElementN."""
+    """Embed a rank-1 operator into the given tensor slot (1-based)."""
     n = check_rank(n)
     if not 1 <= factor <= n:
         raise ValueError(f"factor index {factor} out of range 1..{n}")
-    if a.n != 1:
-        raise ValueError(f"expected rank 1, got rank {a.n}")
+    check_rank1(a)
     before, after = (ATOM_ONE,) * (factor - 1), (ATOM_ONE,) * (n - factor)
     return ElementN._make(n, {before + key + after: c for key, c in a.terms.items()})
 
 
 def to_element1(a: ElementN) -> Element1:
     """View a rank-1 ElementN as an Element1; the terms are kept."""
-    if a.n != 1:
-        raise ValueError(f"expected rank 1, got rank {a.n}")
+    check_rank1(a)
     return Element1._make(1, a.terms)
 
 
 def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int, ...], Fraction]:
     """Act on a polynomial in x_1..x_n given as a sparse exponent-vector map."""
+    for exps in p:
+        if len(exps) != a.n:
+            raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
+    p = {exps: hpoly.exact(c) for exps, c in p.items()}
     out: dict[Tuple[int, ...], Fraction] = {}
     for key, c in a.terms.items():
         for exps, cp in p.items():
-            if len(exps) != a.n:
-                raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
-            coeff = c * hpoly.exact(cp)
-            new_exps = []
-            dead = False
-            for atom, s in zip(key, exps):
-                res = atom_apply_power(atom, s)
-                if res is None:
-                    dead = True
-                    break
-                cc, r = res
-                coeff *= cc
-                new_exps.append(r)
-            if dead or not coeff:
-                continue
-            k = tuple(new_exps)
-            val = out.get(k, Fraction(0)) + coeff
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            # each slot's image is (coefficient, exponent), or None when it is 0
+            images = map(atom_apply_power, key, exps)
+            _collect(out, c * cp, [[image[::-1]] if image else [] for image in images])
     return out
 
 

@@ -154,9 +154,16 @@ class TestSplit:
         assert out.splitlines() == ["A: I*H", "F: e(0,0)", "L: I"]
 
     def test_requires_rank1(self, capsys):
-        code, _, err = run(capsys, "split", "--n", "2", "x_1")
-        assert code == 1
-        assert "rank 1" in err
+        # the rank-1 commands parse at --n and the library refuses the operator
+        for argv in (["split", "x_1"], ["fdeg", "x_1"], ["dims", "--gen", "1,x_1", "--max", "2"]):
+            code, out, err = run(capsys, *argv, "--n", "2")
+            assert (code, out) == (1, "")
+            assert err == "error: expected rank 1, got rank 2\n"
+
+    def test_syntax_error_before_rank(self, capsys):
+        code, out, err = run(capsys, "split", "--n", "2", "x_1 + )")
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected ')' (at position 6)\n"
 
 
 class TestSocle:
@@ -419,7 +426,11 @@ def command_lines(draw):
     command = draw(
         st.sampled_from(["norm", "apply", "split", "socle", "fdeg", "quot", "matrix", "dims"])
     )
-    argv = [command, "--n", str(draw(st.integers(1, 3)))]
+    # Rank-1 commands mostly get --n 1, so that they reach their results;
+    # TestSplit.test_requires_rank1 checks their refusal of other ranks.
+    rank1_only = command in ("split", "fdeg", "dims")
+    ranks = st.sampled_from([1] * 8 + [2, 3]) if rank1_only else st.integers(1, 3)
+    argv = [command, "--n", str(draw(ranks))]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     if command == "dims":

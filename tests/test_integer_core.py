@@ -22,7 +22,7 @@ from idop.oracle import (
     to_matrix,
     to_matrix_n,
 )
-from idop.tensor import BnElement, ElementN, apply_n, lift
+from idop.tensor import BnElement, ElementN, apply_n
 from conftest import elements1, elements_n
 
 H = Element1.from_generator("H")
@@ -150,8 +150,9 @@ class TestFloatsRejected:
             lambda: TruncMatrix(1, entries=[[0.5]]),
             lambda: TruncMatrix(1).scale(0.5),
             lambda: exact_rank([[1, 0.5]]),
-            lambda: apply_n(lift(1, Element1.one(), 1), {(0,): 0.5}),
+            lambda: apply_n(Element1.one(), {(0,): 0.5}),
             lambda: apply_n(ElementN.one(2), {(0, 0): 0.5}),
+            lambda: apply_n(ElementN.zero(2), {(0, 0): 0.5}),
         ],
     )
     def test_type_error(self, build):

@@ -120,7 +120,7 @@ class TestToMatrix:
         N = 10
         m = to_matrix_monomial(a, N)
         for s in range(N):
-            img = apply_n(lift(1, a, 1), {(s,): 1})
+            img = apply_n(a, {(s,): 1})
             col = [img.get((r,), Fraction(0)) for r in range(N)]
             assert m.column(s) == col
 
@@ -204,7 +204,7 @@ class TestConsistent:
 class TestTensorMatrix:
     def test_rank1_agrees(self):
         a = I * H + e(1, 0)
-        assert to_matrix_n(lift(1, a, 1), 6).entries == to_matrix(a, 6).entries
+        assert to_matrix_n(a, 6).entries == to_matrix(a, 6).entries
 
     def test_factor_action(self):
         # (d (x) I) on x^[0] (x) x^[0] lands on x^[0] (x) x^[1] only via the I factor

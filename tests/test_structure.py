@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import idop.element as element
 import idop.structure as structure
 from idop.element import Element1
+from idop.expr import parse_element
 from idop.oracle import RowReducer, to_matrix
 from idop.sampling import random_nonzero_element_n, random_weyl_word
 from idop.structure import (
@@ -294,18 +295,21 @@ class TestFiltrationDims:
 
     def test_rows_added_per_level(self, monkeypatch):
         # only the elements kept at the previous level are extended, and only
-        # by the moves that keep their words x^a d^b g x^c d^e normal
+        # by the moves that keep their words x^a d^b g x^c d^e normal; parsed
+        # generators are rank-1 ElementN values, not Element1, and count alike
         calls = count_rows_added(monkeypatch)
-        dims = bimodule_filtration_dims([Element1.one(), I], 16)
-        assert dims[:15] == FILTRATION_DIMS_ONE_I
-        assert calls() == 490
-        assert bimodule_filtration_dims([E00], 16)[-1] == 153
-        assert calls() == 170
-        # each move runs over all fresh elements before the next move does, so
-        # that elements allowing few extensions are kept first; running all
-        # moves of one element before the next element's would add 366 rows
-        assert bimodule_filtration_dims(TWO_GENERATORS, 8)[-1] == 278
-        assert calls() == 353
+        assert type(parse_element("I")) is ElementN
+        for read in (lambda g: g, lambda g: parse_element(str(g))):
+            dims = bimodule_filtration_dims([read(Element1.one()), read(I)], 16)
+            assert dims[:15] == FILTRATION_DIMS_ONE_I
+            assert calls() == 490
+            assert bimodule_filtration_dims([read(E00)], 16)[-1] == 153
+            assert calls() == 170
+            # each move runs over all fresh elements before the next move does,
+            # so that elements allowing few extensions are kept first; running
+            # all moves of one element before the next element's would add 366 rows
+            assert bimodule_filtration_dims([read(g) for g in TWO_GENERATORS], 8)[-1] == 278
+            assert calls() == 353
 
     def test_column_registry_state_does_not_change_results(self, monkeypatch, fresh_columns):
         # the same dimensions and rows added on a fresh, a warm and a just-reset
@@ -411,6 +415,8 @@ class TestFiltrationDims:
             with pytest.raises(TypeError, match="^i_max must be an integer, got "):
                 bimodule_filtration_dims([Element1.one()], i_max)
         assert bimodule_filtration_dims([Element1.one()], True) == [1, 3]
+        with pytest.raises(ValueError, match="^expected rank 1, got rank 2$"):
+            bimodule_filtration_dims([Element1.one(), parse_element("x_1", 2)], 3)
 
 
 class TestMultiplicityReport:

@@ -248,8 +248,10 @@ class TestApply:
         assert apply_n(lift(1, E00, 2), {(2, 0): 1, (0, 1): 1}) == {(0, 1): Fraction(1)}
 
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_n(ElementN.one(2), {(1,): 1})
+        # the zero operator checks its polynomial as every other operator does
+        for a in (ElementN.one(2), ElementN.zero(2)):
+            with pytest.raises(ValueError, match=r"^monomial \(1,\) has 1 variables, expected 2$"):
+                apply_n(a, {(1,): 1})
 
     @given(elements_n(), elements_n(), polys_n())
     @settings(max_examples=30, deadline=None)
