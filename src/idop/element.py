@@ -14,9 +14,9 @@ equality of stored forms is equality of operators.
 
 The rewrite rules are stated once, in _block_mul, on blocks: a grade block
 v_i p(H) or one e-unit.  The one product, tensor._product, sums it over pairs
-of last-slot blocks; atom_mul is its case for two atoms, and
-_generator_product is atom_mul's closed form for a factor x or d, which the
-filtration's move tables read.
+of last-slot blocks; atom_mul is its case for two atoms.  The filtration
+(structure.bimodule_filtration_dims) restates the products with x and d in a
+falling-factorial basis, and tests check it against atom_mul.
 """
 
 from __future__ import annotations
@@ -198,45 +198,6 @@ def atom_mul(left: Atom, right: Atom) -> "Element1":
         else:
             terms[(("e", a, b),)] = c
     return Element1._make(1, terms)
-
-
-X_ATOM: Atom = ("v", 1, 1)  # x = I*H
-D_ATOM: Atom = ("v", -1, 0)
-
-def _generator_product(left: Atom, right: Atom) -> Optional[Tuple[Tuple[Atom, Scalar], ...]]:
-    """atom_mul's terms, in its order, when left or right is x or d; else None.
-
-    atom_mul's rules specialize to
-      x v_j H^t = v_{j+1} (j H^t + H^{t+1})    x e(s,t) = (s+1) e(s+1,t)
-      d v_j H^t = v_{j-1} H^t                  d e(s,t) = e(s-1,t)   (0 if s = 0)
-      v_i H^s d = v_{i-1} (H-1)^s - [i > 0, s = 0] e(i-1,0)
-      v_i H^s x = v_{i+1} (H+1)^s H            e(s,t) d = e(s,t+1)
-      e(s,t) x  = t e(s,t-1)                   (0 if t = 0)
-    x v_j H^t has no e-unit: for j = -m < 0, atom_mul's one candidate has
-    coefficient (m + j) m^t = 0."""
-    if left == X_ATOM or left == D_ATOM:
-        tag, j, t = right
-        if left == D_ATOM:
-            if tag == "e" and j == 0:
-                return ()
-            return (((tag, j - 1, t), 1),)
-        if tag == "e":
-            return ((("e", j + 1, t), j + 1),)
-        if j == 0:
-            return ((("v", 1, t + 1), 1),)
-        return ((("v", j + 1, t), j), (("v", j + 1, t + 1), 1))
-    if right == X_ATOM or right == D_ATOM:
-        tag, i, s = left
-        if tag == "e":
-            if right == D_ATOM:
-                return ((("e", i, s + 1), 1),)
-            return ((("e", i, s - 1), s),) if s else ()
-        if right == X_ATOM:
-            return tuple((("v", i + 1, u + 1), math.comb(s, u)) for u in range(s + 1))
-        if i > 0 and s == 0:
-            return ((("v", i - 1, 0), 1), (("e", i - 1, 0), -1))
-        return tuple((("v", i - 1, u), math.comb(s, u) * (-1) ** (s - u)) for u in range(s + 1))
-    return None
 
 
 def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:

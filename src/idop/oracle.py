@@ -292,10 +292,11 @@ def _integer_row(row: Mapping) -> dict:
     out = dict(row)
     if 0 in out.values():
         out = {k: v for k, v in out.items() if v}
-    if set(map(type, out.values())) - {int}:
-        vals = {k: exact(v) for k, v in out.items()}
-        denom = math.lcm(*(v.denominator for v in vals.values()))
-        out = {k: int(v * denom) for k, v in vals.items()}
+    for v in out.values():
+        if type(v) is not int:
+            vals = {k: exact(v) for k, v in out.items()}
+            denom = math.lcm(*(v.denominator for v in vals.values()))
+            return {k: int(v * denom) for k, v in vals.items()}
     return out
 
 

@@ -16,11 +16,12 @@ factors) and the census of realized label tuples.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
-from .element import D_ATOM, X_ATOM, Atom, Element1, _generator_product, _index
+from .element import Atom, Element1, _index
 from .oracle import RowReducer
 from .tensor import ElementN, _collect, check_rank1
 
@@ -119,6 +120,9 @@ def socle_member(a: ElementN, m: int) -> bool:
 def q_dims(i_max: int) -> list[int]:
     """Dimensions of the nested L-spans {I^j H^t : 1 <= j <= i+1, 0 <= t < j},
     computed by enumeration and exact rank."""
+    i_max = _index(i_max, "i_max")
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     red = RowReducer()
     dims = []
     for i in range(i_max + 1):
@@ -147,19 +151,19 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
 
 Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 
-# The filtration's columns, shared by every call in the process.  Each atom
-# gets a smaller id than every atom registered before it, so a row's smallest
-# id (RowReducer's pivot) is its newest atom.  _MOVE_TABLES[m] maps a column
-# to the (column, coefficient) terms of move m applied to its atom.  The
-# registry is cleared at the start of a call once it holds COLUMN_CAP columns.
+# The filtration's columns, shared by every call in the process: ("e", s, t)
+# stands for e(s,t) and ("v", i, t) for v_i P_{i,t}(H), with the falling
+# factorial P_{i,t}(H) = (H+i-1)(H+i-2)...(H+i-t); bimodule_filtration_dims
+# states the four moves on them.  Each column gets a smaller id than every
+# column registered before it, so a row's smallest id (RowReducer's pivot) is
+# its newest column.  _MOVE_TABLES[m] maps a column to the terms (column,
+# coefficient) of move m on it.  The registry is cleared at the start of a call
+# once it holds COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
 _COLUMNS: dict[Atom, int] = {}
-_ATOMS: list[Atom] = []  # _ATOMS[-c] is the atom of column c
+_ATOMS: list[Atom] = []  # _ATOMS[-c] is the key of column c
 _MOVE_TABLES: Tuple[dict[int, Tuple[Tuple[int, Scalar], ...]], ...] = ({}, {}, {}, {})
-
-# The filtration moves: 0 = x k, 1 = d k, 2 = k d, 3 = k x.
-_MOVE_FACTORS = ((X_ATOM, True), (D_ATOM, True), (D_ATOM, False), (X_ATOM, False))
 
 
 def _column(atom: Atom) -> int:
@@ -178,15 +182,35 @@ def _reset_columns() -> None:
 
 
 def _row(g: ElementN) -> Row:
+    """The row of a rank-1 operator: each atom v_i H^t is rewritten over the
+    columns v_i P_{i,s}(H) by H P_{i,s} = P_{i,s+1} - (i-1-s) P_{i,s}."""
     check_rank1(g)
-    return {_column(a): c for (a,), c in g.terms.items()}
+    out: Row = {}
+    for ((tag, i, t),), c in g.terms.items():
+        q = [c]  # c H^u over P_{i,0}, ..., P_{i,u}, for u = 0, ..., t
+        for _ in range(t if tag == "v" else 0):
+            q = [a - (i - 1 - s) * b for s, (a, b) in enumerate(zip([0] + q, q + [0]))]
+        for s, cs in enumerate(q, 0 if tag == "v" else t):  # an e-unit keeps its atom
+            col = _column((tag, i, s))
+            out[col] = out.get(col, 0) + cs
+    return {col: c for col, c in out.items() if c}
 
 
 def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
-    g, on_left = _MOVE_FACTORS[m]
-    atom = _ATOMS[-column]
-    terms = _generator_product(g, atom) if on_left else _generator_product(atom, g)
-    terms = tuple((_column(b), p) for b, p in terms)
+    tag, i, t = _ATOMS[-column]
+    if tag == "v":
+        terms = (
+            [(("v", i + 1, t + 1), 1)],
+            [(("v", i - 1, t), 1), (("v", i - 1, t - 1), t)],
+            [(("v", i - 1, t), 1), (("e", i - 1, 0), -math.perm(i - 1, t) if i > 0 else 0)],
+            [(("v", i + 1, t + 1), 1), (("v", i + 1, t), t - i)],
+        )[m]
+    else:  # the e-unit rules of element._block_mul
+        terms = [
+            (("e", i + 1, t), i + 1), (("e", i - 1, t), 1 if i else 0),
+            (("e", i, t + 1), 1), (("e", i, t - 1), t),
+        ][m : m + 1]
+    terms = tuple((_column(b), p) for b, p in terms if p)
     _MOVE_TABLES[m][column] = terms
     return terms
 
@@ -202,7 +226,7 @@ def _move(row: Row, m: int) -> Row:
             terms = _move_terms(m, a)
         for b, p in terms:
             out[b] = get(b, 0) + c * p
-    return {b: v for b, v in out.items() if v}
+    return {b: v for b, v in out.items() if v} if 0 in out.values() else out
 
 
 def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list[int]:
@@ -251,12 +275,21 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
     an element already spanned, and the same candidates are kept: the rows
     added stay the same.
 
-    Each dimension is an exact rational rank over the union of support atoms;
-    the result is nondecreasing and independent of generator order.  Kept
-    elements are held as support rows over the process-wide column ids
-    (_COLUMNS), and each move is a sparse sum over that move's column table,
-    filled in closed form by element._generator_product.  The newest atom of
-    a row leads it in the RowReducer.  As the tables are shared, calls must
+    Each dimension is an exact rational rank; the result is nondecreasing and
+    independent of generator order.  Kept elements are held as rows over the
+    process-wide column ids (_COLUMNS).  A column is an e-unit e(s,t) or
+    v_i P_{i,t}(H), with the falling factorial P_{i,t}(H) = (H+i-1)...(H+i-t),
+    and _row rewrites each generator atom v_i H^t over them once.  In this
+    basis each move has at most two terms:
+
+      x k: (i,t) -> (i+1,t+1)       d k: (i,t) -> (i-1,t) + t (i-1,t-1)
+      k d: (i,t) -> (i-1,t) - [i > 0] (i-1)(i-2)...(i-t) e(i-1,0)
+      k x: (i,t) -> (i+1,t+1) - (i-t) (i+1,t)
+
+    For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
+    then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
+    move is a sparse sum over that move's column table, and the newest column
+    of a row leads it in the RowReducer.  As the tables are shared, calls must
     not run concurrently.
     """
     if not generators:

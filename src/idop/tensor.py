@@ -389,7 +389,7 @@ class Element1(ElementN):
 
 def lift(factor: int, a: Element1, n: int) -> ElementN:
     """Embed a rank-1 operator into the given tensor slot (1-based)."""
-    n = check_rank(n)
+    n, factor = check_rank(n), _index(factor, "factor index")
     if not 1 <= factor <= n:
         raise ValueError(f"factor index {factor} out of range 1..{n}")
     check_rank1(a)
@@ -408,6 +408,9 @@ def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int,
     for exps in p:
         if len(exps) != a.n:
             raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
+        for e in exps:
+            if _index(e, f"an exponent of monomial {exps}") < 0:
+                raise ValueError(f"monomial {exps} has a negative exponent")
     p = {exps: hpoly.exact(c) for exps, c in p.items()}
     out: dict[Tuple[int, ...], Fraction] = {}
     for key, c in a.terms.items():

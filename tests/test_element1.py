@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idop import tensor
-from idop.element import D_ATOM, X_ATOM, Element1, _generator_product, atom_mul, from_atoms
+from idop import structure, tensor
+from idop.element import Element1, atom_mul, from_atoms
 from idop.expr import parse_element
 from idop.oracle import consistent, to_matrix
 from idop.tensor import BnElement, apply_n, project_bn
@@ -104,14 +104,15 @@ def last_slot_blocks(a):
 
 class TestAtomProduct:
     def test_generator_products_in_closed_form(self):
-        # every product with x or d on either side, in atom_mul's term order
-        grid = [("v", i, t) for i in range(-6, 7) for t in range(8)]
-        grid += [("e", s, t) for s in range(7) for t in range(7)]
-        for g in (X_ATOM, D_ATOM):
-            for a in grid:
-                for left, right in ((g, a), (a, g)):
-                    assert _generator_product(left, right) == tuple(atom_mul(left, right).atoms())
-        assert _generator_product(("v", 2, 1), ("e", 0, 3)) is None
+        # the filtration's closed-form moves x k, d k, k d, k x, on its
+        # falling-factorial columns, are atom_mul's products exactly
+        x, d = ("v", 1, 1), ("v", -1, 0)
+        grid = [("v", i, t) for i in range(-6, 8) for t in range(8)]
+        grid += [("e", s, t) for s in range(8) for t in range(8)]
+        for a in grid:
+            row = structure._row(from_atoms([(a, 1)]))
+            for m, (left, right) in enumerate(((x, a), (d, a), (a, d), (a, x))):
+                assert structure._move(row, m) == structure._row(atom_mul(left, right))
 
 
 class TestArithmetic:

@@ -2,6 +2,7 @@
 exact dimension engine."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import idop.element as element
 import idop.structure as structure
-from idop.element import Element1
+from idop.element import Element1, from_atoms
 from idop.expr import parse_element
 from idop.oracle import RowReducer, to_matrix
 from idop.sampling import random_nonzero_element_n, random_weyl_word
@@ -162,6 +163,12 @@ class TestQDims:
         got = q_dims(10)
         assert got[10] == 66
         assert got == [(i + 1) * (i + 2) // 2 for i in range(11)]
+
+    def test_validation(self):
+        with pytest.raises(TypeError, match="^i_max must be an integer, got float 2.5$"):
+            q_dims(2.5)
+        with pytest.raises(ValueError, match="^i_max must be nonnegative, got -1$"):
+            q_dims(-1)
 
 
 class TestKernelWitness:
@@ -352,6 +359,18 @@ class TestFiltrationDims:
         for m, product in enumerate(products):
             assert structure._move(structure._row(k), m) == structure._row(product)
 
+    def test_rows_rewrite_h_powers_as_falling_factorials(self, fresh_columns):
+        # H^t = sum_s c_s P_{i,s}(H), P_{i,s}(H) = (H+i-1)(H+i-2)...(H+i-s), as
+        # values at integer H
+        for i in range(-4, 7):
+            for t in range(9):
+                row = structure._row(from_atoms([(("v", i, t), 1)]))
+                parts = [(structure._ATOMS[-col], c) for col, c in row.items()]
+                assert all(tag == "v" and grade == i for (tag, grade, _), _ in parts)
+                for h in range(-10, 11):
+                    value = sum(c * math.prod(h + i - k for k in range(1, s + 1)) for (_, _, s), c in parts)
+                    assert value == h**t
+
     def test_capped_atom_table(self, monkeypatch, fresh_columns):
         # the registry may outgrow its cap within a call; the next call clears it
         monkeypatch.setattr(structure, "COLUMN_CAP", 4)
@@ -365,7 +384,7 @@ class TestFiltrationDims:
 
     def test_word_enumeration_uses_element1_products(self, monkeypatch, fresh_columns):
         # the reference shares no atom products with the engine it checks: the
-        # engine's come from _generator_product only, the reference's Element1
+        # engine's come from its closed-form moves only, the reference's Element1
         # products from atom_mul only
         def unused(*args):
             raise AssertionError("atom products were used")
@@ -382,8 +401,9 @@ class TestFiltrationDims:
             products += 1
             return mul(a, b)
 
+        structure._reset_columns()  # so that a move of the engine's would reach its closed form
         with monkeypatch.context() as patch:
-            patch.setattr(structure, "_generator_product", unused)
+            patch.setattr(structure, "_move_terms", unused)
             patch.setattr(Element1, "__mul__", counting_mul)
             assert brute_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
         assert products > 0

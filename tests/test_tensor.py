@@ -1,6 +1,7 @@
 """Tensor-rank operators: embeddings, factor-wise products, actions and the
 rank-n quotient."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,10 @@ class TestLift:
             lift(3, D, 2)
         with pytest.raises(ValueError):
             lift(0, D, 2)
+
+    def test_factor_index_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="^factor index must be an integer, got float 1.5$"):
+            lift(1.5, X, 2)
 
     @given(elements1(), elements1())
     @settings(max_examples=40, deadline=None)
@@ -252,6 +257,15 @@ class TestApply:
         for a in (ElementN.one(2), ElementN.zero(2)):
             with pytest.raises(ValueError, match=r"^monomial \(1,\) has 1 variables, expected 2$"):
                 apply_n(a, {(1,): 1})
+
+    def test_exponents_must_be_nonnegative_integers(self):
+        # every operator, the zero one too, refuses them before acting
+        for a in (ElementN.one(1), lift(1, D, 1), ElementN.zero(1), ElementN.zero(2)):
+            negative, fractional = (1,) * (a.n - 1) + (-1,), (1,) * (a.n - 1) + (1.5,)
+            with pytest.raises(ValueError, match=f"^monomial {re.escape(str(negative))} has a negative exponent$"):
+                apply_n(a, {negative: 1})
+            with pytest.raises(TypeError, match=f"^an exponent of monomial {re.escape(str(fractional))} must be "):
+                apply_n(a, {fractional: 1})
 
     @given(elements_n(), elements_n(), polys_n())
     @settings(max_examples=30, deadline=None)
