@@ -368,8 +368,8 @@ class TestFiltrationDims:
                 parts = [(structure._ATOMS[-col], c) for col, c in row.items()]
                 assert all(tag == "v" and grade == i for (tag, grade, _), _ in parts)
                 for h in range(-10, 11):
-                    value = sum(c * math.prod(h + i - k for k in range(1, s + 1)) for (_, _, s), c in parts)
-                    assert value == h**t
+                    falling = [math.prod(h + i - k for k in range(1, s + 1)) for (_, _, s), _ in parts]
+                    assert sum(p * c for p, (_, c) in zip(falling, parts)) == h**t
 
     def test_capped_atom_table(self, monkeypatch, fresh_columns):
         # the registry may outgrow its cap within a call; the next call clears it

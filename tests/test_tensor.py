@@ -262,9 +262,11 @@ class TestApply:
         # every operator, the zero one too, refuses them before acting
         for a in (ElementN.one(1), lift(1, D, 1), ElementN.zero(1), ElementN.zero(2)):
             negative, fractional = (1,) * (a.n - 1) + (-1,), (1,) * (a.n - 1) + (1.5,)
-            with pytest.raises(ValueError, match=f"^monomial {re.escape(str(negative))} has a negative exponent$"):
+            message = f"^monomial {re.escape(str(negative))} has a negative exponent$"
+            with pytest.raises(ValueError, match=message):
                 apply_n(a, {negative: 1})
-            with pytest.raises(TypeError, match=f"^an exponent of monomial {re.escape(str(fractional))} must be "):
+            message = f"^an exponent of monomial {re.escape(str(fractional))} must be an integer, got "
+            with pytest.raises(TypeError, match=message):
                 apply_n(a, {fractional: 1})
 
     @given(elements_n(), elements_n(), polys_n())
