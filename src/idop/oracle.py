@@ -231,16 +231,20 @@ class RowReducer:
 
     Each stored row is an integer vector with content 1, filed under its
     leading (smallest) key, and no two stored rows share a leading key.  A new
-    row is cleared to integers and then, while its leading key belongs to a
-    stored row, cross-multiplied against that one row by the two leading
-    entries divided by their gcd (never dividing a row); it is stripped of
-    content and stored once it leads with a fresh key, or dropped when it
-    vanishes.  Each intermediate row is a positive multiple of the one that
-    stripping after every step would give, so stripping once, at the end,
-    stores the same rows with the same signs.  Stored rows are not reduced
-    against each other below their leading keys: the echelon form is enough
-    for the rank, and every intermediate value stays an exact integer.
-    Insertion order does not affect the final rank.  add returns the row it
+    row is copied once, and the same pass over its values accepts it when
+    every value is a nonzero plain int; only a row with a zero or another type
+    (Fraction, bool, NumPy integers, floats) goes through _integer_row, which
+    clears denominators or raises TypeError.  Then, while its leading key
+    belongs to a stored row, it is cross-multiplied against that one row by
+    the two leading entries divided by their gcd (never dividing a row); it is
+    stripped of content and stored once it leads with a fresh key, or dropped
+    when it vanishes.  A row stored with one entry v becomes the sign of v,
+    +1 or -1, with no gcd taken.  Each intermediate row is a positive
+    multiple of the one that stripping after every step would give, so
+    stripping once, at the end, stores the same rows with the same signs.
+    Stored rows are not reduced against each other below their leading keys:
+    the echelon form is enough for the rank, and every intermediate value
+    stays an exact integer.  Insertion order does not affect the final rank.  add returns the row it
     stored, so that a caller can build on the reduced row rather than on its
     input (the filtration extends it); the row stays the reducer's, and
     callers must not mutate it.
@@ -266,13 +270,17 @@ class RowReducer:
         Returns the stored row (the integer echelon row, never empty) or None
         when the row is dependent.  The stored row stays the reducer's own:
         callers may read and extend it but must not mutate it."""
-        r = _integer_row(row)
+        r = dict(row)
+        for v in r.values():
+            if type(v) is not int or not v:
+                r = _integer_row(row)
+                break
         pivots = self._pivots
         while r:
             pk = min(r)
             prow = pivots.get(pk)
             if prow is None:
-                r = pivots[pk] = _strip_content(r)
+                r = pivots[pk] = {pk: 1 if r[pk] > 0 else -1} if len(r) == 1 else _strip_content(r)
                 return r
             c, p = r[pk], prow[pk]
             g = math.gcd(c, p) if p > 0 else -math.gcd(c, p)

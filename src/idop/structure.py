@@ -112,6 +112,7 @@ def socle_level(a: ElementN) -> int:
 
 
 def socle_member(a: ElementN, m: int) -> bool:
+    m = _index(m, "m")
     if a.is_zero():
         return True
     return socle_level(a) <= m
@@ -128,7 +129,7 @@ def q_dims(i_max: int) -> list[int]:
     for i in range(i_max + 1):
         j = i + 1
         for t in range(j):
-            red.add(Element1({j: [0] * t + [1]}).support_vector())
+            red.add({("v", j, t): 1})
         dims.append(red.rank)
     return dims
 
@@ -249,8 +250,11 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
 
     Within a level the moves run in the order 0, 1, 2, 3 over all kept
     elements, so that the elements allowing the fewest extensions are kept
-    first.  So a candidate made at level i-1 by move t is reduced only against
-    rows of V_{i-2} and rows stored earlier at its level by moves s <= t, and
+    first.  A level's kept elements are held in four groups by tag; as they
+    are kept in move order, move m reads the groups m, ..., 3 in turn, which
+    is the order in which they were kept, and tests no tag.  So a candidate
+    made at level i-1 by move t is reduced only against rows of V_{i-2} and
+    rows stored earlier at its level by moves s <= t, and
     every row stored with tag t lies in W_t = V_{i-2} + the sum over s <= t of
     move_s(V_{i-2}): it is a positive multiple of its candidate minus a
     combination of such rows.  Let S_i be V_{i-1} plus the span of the extensions.  As
@@ -306,13 +310,18 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
     if len(_ATOMS) >= COLUMN_CAP:
         _reset_columns()
     red = RowReducer()
-    fresh = [(row, 3) for g in generators if (row := red.add(_row(g)))]
+    add = red.add
+    groups = ([], [], [], [row for g in generators if (row := add(_row(g)))])
     dims = [red.rank]
     for _ in range(i_max):
-        candidates = (
-            (_move(k, m), m) for m in range(4) for k, tag in fresh if m <= tag
-        )
-        fresh = [(row, m) for c, m in candidates if (row := red.add(c))]
+        fresh = ([], [], [], [])
+        for m in range(4):
+            keep = fresh[m].append
+            for group in groups[m:]:
+                for k in group:
+                    if row := add(_move(k, m)):
+                        keep(row)
+        groups = fresh
         dims.append(red.rank)
     return dims
 
@@ -350,13 +359,11 @@ def _stable_tail(seq: Sequence[int]) -> Optional[int]:
 
 def multiplicity_report(dims: Sequence[int]) -> Optional[MultiplicityReport]:
     """Detect polynomial growth degree; None when nothing stabilizes in range."""
-    seq = list(dims)
+    seq = dims = [_index(d, "an entry of dims") for d in dims]
     for deg in range(len(seq)):
         start = _stable_tail(seq)
         if start is not None:
-            second = list(dims)
-            for _ in range(2):
-                second = _diff(second)
+            second = _diff(_diff(dims))
             return MultiplicityReport(
                 degree=deg,
                 second_difference=second[-1] if second else 0,

@@ -314,6 +314,33 @@ class TestExactRank:
         assert second == {1: -1, 2: 3} and second is red._pivots[1]
         assert red.rank == 2
 
+    @pytest.mark.parametrize(
+        "row", [{0: 0, 1: 2}, {0: True, 1: 2}, {0: Fraction(4, 2), 1: 6}], ids=repr
+    )
+    def test_rows_that_are_not_plain_nonzero_ints(self, row):
+        # a zero or a value that is not a plain int fails add's one-pass check
+        # and is stored as _integer_row and content stripping make it
+        stored = RowReducer().add(row)
+        assert stored == oracle._strip_content(oracle._integer_row(row))
+        assert all(type(v) is int for v in stored.values())
+
+    def test_numpy_integers_are_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        row = {0: np.int64(4), 1: 6}
+        stored = RowReducer().add(row)
+        assert stored == oracle._strip_content(oracle._integer_row(row)) == {0: 2, 1: 3}
+        assert all(type(v) is int for v in stored.values())
+
+    def test_float_is_refused(self):
+        with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got float 0.5$"):
+            RowReducer().add({0: 0.5})
+
+    def test_one_entry_row_is_stored_as_its_sign(self):
+        red = RowReducer()
+        assert red.add({5: -6}) == {5: -1}
+        assert red.add({3: 7}) == {3: 1}
+        assert red.add({1: Fraction(-2, 3)}) == {1: -1}
+
     def test_cross_check_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(5)

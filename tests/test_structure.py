@@ -117,6 +117,13 @@ class TestSocle:
         assert not socle_member(lift(1, I, 2) * lift(2, I, 2), 1)
         assert socle_member(ElementN.zero(2), 0)
 
+    def test_membership_level_must_be_an_integer(self):
+        for a in (lift(2, I, 2), ElementN.zero(2)):
+            with pytest.raises(TypeError, match="^m must be an integer, got str 'a'$"):
+                socle_member(a, "a")
+            with pytest.raises(TypeError, match="^m must be an integer, got float 1.5$"):
+                socle_member(a, 1.5)
+
     def test_cancellation_is_respected(self):
         # I^2 H(H+1) = x^2 is Weyl even though the atoms I^2 H^t are not
         a = lift(1, I.power(2) * (H * H + H), 2)
@@ -318,6 +325,23 @@ class TestFiltrationDims:
             assert bimodule_filtration_dims([read(g) for g in TWO_GENERATORS], 8)[-1] == 278
             assert calls() == 353
 
+    def test_stored_entries_per_job(self, monkeypatch, fresh_columns):
+        # the entries of every row add stores for {1, I} and then {e(0,0)} at
+        # 16: an anchor for the stored rows themselves, not only their number;
+        # which column leads a row depends on the registry, so it starts empty
+        add, entries = RowReducer.add, 0
+
+        def counting_add(self, row):
+            nonlocal entries
+            stored = add(self, row)
+            entries += len(stored or ())
+            return stored
+
+        monkeypatch.setattr(RowReducer, "add", counting_add)
+        bimodule_filtration_dims([Element1.one(), I], 16)
+        bimodule_filtration_dims([E00], 16)
+        assert entries == 1547
+
     def test_column_registry_state_does_not_change_results(self, monkeypatch, fresh_columns):
         # the same dimensions and rows added on a fresh, a warm and a just-reset
         # registry, also for generators whose atoms it has not seen yet
@@ -459,3 +483,10 @@ class TestMultiplicityReport:
     def test_inconclusive(self):
         assert multiplicity_report([1, 2, 4, 8, 16, 32, 64]) is None
         assert multiplicity_report([1, 2]) is None
+
+    def test_entries_must_be_integers(self):
+        msg = "^an entry of dims must be an integer, got "
+        with pytest.raises(TypeError, match=msg + "float 1.5$"):
+            multiplicity_report([1.5, 2, 3, 4, 5, 6])
+        with pytest.raises(TypeError, match=msg + "str '3'$"):
+            multiplicity_report([1, 2, "3"])
