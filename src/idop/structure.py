@@ -17,7 +17,7 @@ factors) and the census of realized label tuples.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import hpoly
 from .hpoly import Scalar
@@ -152,34 +152,29 @@ def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, boo
 
 Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 
-# The filtration's columns, shared by every call in the process: ("e", s, t)
-# stands for e(s,t) and ("v", i, t) for v_i P_{i,t}(H), with the falling
-# factorial P_{i,t}(H) = (H+i-1)(H+i-2)...(H+i-t); bimodule_filtration_dims
-# states the four moves on them.  Each column gets a smaller id than every
-# column registered before it, so a row's smallest id (RowReducer's pivot) is
-# its newest column.  _MOVE_TABLES[m] maps a column to the terms (column,
-# coefficient) of move m on it.  The registry is cleared at the start of a call
-# once it holds COLUMN_CAP columns.
+# The filtration's columns: ("e", s, t) is e(s,t) and ("v", i, t) is v_i P_{i,t}(H),
+# P_{i,t}(H) = (H+i-1)...(H+i-t), with the moves stated in bimodule_filtration_dims.
+# A column's id is -(2 pi(t, z) + [tag == "e"]), z = 2i for i >= 0 and -2i-1 for
+# i < 0, pi(t, z) = (t+z)(t+z+1)/2 + z the Cantor pairing; _atom inverts it.  So
+# RowReducer's pivot, a row's smallest id, is a column with the largest t + z.
+# _MOVE_TABLES[m] memoizes move m on a column as terms (column, coefficient); a
+# call clears this pure memo first once _MOVE_TABLES[0] holds COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
-_COLUMNS: dict[Atom, int] = {}
-_ATOMS: list[Atom] = []  # _ATOMS[-c] is the key of column c
 _MOVE_TABLES: Tuple[dict[int, Tuple[Tuple[int, Scalar], ...]], ...] = ({}, {}, {}, {})
 
 
 def _column(atom: Atom) -> int:
-    c = _COLUMNS.get(atom)
-    if c is None:
-        c = _COLUMNS[atom] = -len(_ATOMS)
-        _ATOMS.append(atom)
-    return c
+    tag, i, t = atom
+    w = t + (2 * i if i >= 0 else -2 * i - 1)
+    return -(w * (w + 1) + 2 * (w - t) + (tag == "e"))
 
 
-def _reset_columns() -> None:
-    _COLUMNS.clear()
-    _ATOMS.clear()
-    for table in _MOVE_TABLES:
-        table.clear()
+def _atom(column: int) -> Atom:
+    p, e = divmod(-column, 2)
+    w = (math.isqrt(8 * p + 1) - 1) // 2
+    z = p - w * (w + 1) // 2
+    return ("e" if e else "v", z // 2 if z % 2 == 0 else -(z + 1) // 2, w - z)
 
 
 def _row(g: ElementN) -> Row:
@@ -198,7 +193,7 @@ def _row(g: ElementN) -> Row:
 
 
 def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
-    tag, i, t = _ATOMS[-column]
+    tag, i, t = _atom(column)
     if tag == "v":
         terms = (
             [(("v", i + 1, t + 1), 1)],
@@ -230,7 +225,7 @@ def _move(row: Row, m: int) -> Row:
     return {b: v for b, v in out.items() if v} if 0 in out.values() else out
 
 
-def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list[int]:
+def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list[int]:
     """Dimensions of V_i = span{x^a d^b g x^c d^e : g in generators, a+b+c+e <= i}.
 
     Computed by the recurrence V_0 = span(generators) and
@@ -280,8 +275,8 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
     added stay the same.
 
     Each dimension is an exact rational rank; the result is nondecreasing and
-    independent of generator order.  Kept elements are held as rows over the
-    process-wide column ids (_COLUMNS).  A column is an e-unit e(s,t) or
+    independent of generator order.  Kept elements are held as rows over
+    integer ids, each fixed by its column alone.  A column is an e-unit e(s,t) or
     v_i P_{i,t}(H), with the falling factorial P_{i,t}(H) = (H+i-1)...(H+i-t),
     and _row rewrites each generator atom v_i H^t over them once.  In this
     basis each move has at most two terms:
@@ -292,14 +287,18 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
 
     For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
     then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
-    move is a sparse sum over that move's column table, and the newest column
-    of a row leads it in the RowReducer.  As the tables are shared, calls must
-    not run concurrently.
+    move is a sparse sum over that move's memo table.  A row's pivot in the
+    RowReducer is a column with the largest t + z (see _column), whatever
+    ran before, and calls may run concurrently.
     """
+    generators = tuple(generators)
     if not generators:
         raise ValueError("at least one generator is required")
-    if any(g.is_zero() for g in generators):
-        raise ValueError("generators must be nonzero")
+    for g in generators:
+        if not isinstance(g, ElementN):
+            raise TypeError(f"generators must be operators, got {type(g).__name__} {g!r}")
+        if g.is_zero():
+            raise ValueError("generators must be nonzero")
     i_max = _index(i_max, "i_max")
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
@@ -307,8 +306,9 @@ def bimodule_filtration_dims(generators: Sequence[ElementN], i_max: int) -> list
         raise ValueError(
             f"i_max={i_max} exceeds the desk-scale budget ({MAX_FILTRATION_INDEX})"
         )
-    if len(_ATOMS) >= COLUMN_CAP:
-        _reset_columns()
+    if len(_MOVE_TABLES[0]) >= COLUMN_CAP:
+        for table in _MOVE_TABLES:
+            table.clear()
     red = RowReducer()
     add = red.add
     groups = ([], [], [], [row for g in generators if (row := add(_row(g)))])

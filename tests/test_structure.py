@@ -4,6 +4,8 @@ exact dimension engine."""
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idop.element as element
+import idop.oracle as oracle
 import idop.structure as structure
 from idop.element import Element1, from_atoms
 from idop.expr import parse_element
@@ -215,12 +218,9 @@ def brute_filtration_dims(generators, i_max):
     return dims
 
 
-@pytest.fixture
-def fresh_columns(monkeypatch):
-    """An empty column registry for one test; the process-wide one is put back after."""
-    monkeypatch.setattr(structure, "_COLUMNS", {})
-    monkeypatch.setattr(structure, "_ATOMS", [])
-    monkeypatch.setattr(structure, "_MOVE_TABLES", ({}, {}, {}, {}))
+def clear_move_tables():
+    for table in structure._MOVE_TABLES:
+        table.clear()
 
 
 def count_rows_added(monkeypatch):
@@ -325,50 +325,83 @@ class TestFiltrationDims:
             assert bimodule_filtration_dims([read(g) for g in TWO_GENERATORS], 8)[-1] == 278
             assert calls() == 353
 
-    def test_stored_entries_per_job(self, monkeypatch, fresh_columns):
-        # the entries of every row add stores for {1, I} and then {e(0,0)} at
-        # 16: an anchor for the stored rows themselves, not only their number;
-        # which column leads a row depends on the registry, so it starts empty
-        add, entries = RowReducer.add, 0
+    def test_column_ids_are_a_bijection(self):
+        # the id of a column is computed from the column alone and _atom inverts it
+        atoms = [("v", i, t) for i in range(-20, 21) for t in range(21)]
+        atoms += [("e", s, t) for s in range(21) for t in range(21)] + [("e", 10**6, 3)]
+        ids = [structure._column(a) for a in atoms]
+        assert [structure._atom(c) for c in ids] == atoms
+        assert len(set(ids)) == len(atoms)
+        # and every nonpositive integer is an id
+        assert all(structure._column(structure._atom(c)) == c for c in range(0, -5000, -1))
+
+    def test_stored_entries_per_job(self, monkeypatch):
+        # the work of the {1, I} and then {e(0,0)} job at 16 does not depend on
+        # what ran before it: rows added, elimination steps (the reducer's
+        # min calls that found a stored pivot) and the entries of the rows add
+        # stored, alone, after other jobs and after the memo was cleared
+        work = {"added": 0, "steps": 0, "entries": 0}
+        add = RowReducer.add
 
         def counting_add(self, row):
-            nonlocal entries
             stored = add(self, row)
-            entries += len(stored or ())
+            work["added"] += 1
+            work["steps"] -= stored is not None  # its last min call found no pivot
+            work["entries"] += len(stored or ())
             return stored
 
+        def counting_min(row):
+            work["steps"] += 1
+            return min(row)
+
         monkeypatch.setattr(RowReducer, "add", counting_add)
-        bimodule_filtration_dims([Element1.one(), I], 16)
+        monkeypatch.setattr(oracle, "min", counting_min, raising=False)
+
+        def job():
+            work.update(added=0, steps=0, entries=0)
+            dims = [bimodule_filtration_dims(g, 16) for g in ([Element1.one(), I], [E00])]
+            return dims, dict(work)
+
+        alone = job()
+        assert alone[1] == {"added": 660, "steps": 67, "entries": 596}
         bimodule_filtration_dims([E00], 16)
-        assert entries == 1547
+        assert job() == alone
+        bimodule_filtration_dims([D.power(5) * H.power(2) - e(6, 1)], 10)
+        assert job() == alone
+        monkeypatch.setattr(structure, "COLUMN_CAP", 1)
+        assert job() == alone  # each of its calls clears the memo first
 
-    def test_column_registry_state_does_not_change_results(self, monkeypatch, fresh_columns):
-        # the same dimensions and rows added on a fresh, a warm and a just-reset
-        # registry, also for generators whose atoms it has not seen yet
-        calls = count_rows_added(monkeypatch)
-        runs = [
-            ([Element1.one(), I], 16),
-            ([E00], 16),
-            (TWO_GENERATORS, 8),
-            ([D.power(5) * H.power(2) - e(6, 1)], 10),
-            ([I.power(7) + 4 * e(9, 0), D.power(4) * H], 9),
+    def test_concurrent_calls(self, monkeypatch):
+        # calls share only the memo of the moves; a small cap makes the threads
+        # clear it under each other
+        monkeypatch.setattr(structure, "COLUMN_CAP", 8)
+        jobs = [
+            ([Element1.one(), I], FILTRATION_DIMS_ONE_I[:13]),
+            ([E00], [(i + 1) * (i + 2) // 2 for i in range(13)]),
         ]
+        start, results, errors = threading.Barrier(4), [], []
 
-        def results(order=1):
-            return [(bimodule_filtration_dims(g, i_max), calls()) for g, i_max in runs[::order]]
+        def worker():
+            try:
+                start.wait()
+                for _ in range(5):
+                    for gens, want in jobs:
+                        results.append(bimodule_filtration_dims(gens, 12) == want)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
 
-        fresh = []
-        for gens, i_max in runs:
-            structure._reset_columns()
-            fresh.append((bimodule_filtration_dims(gens, i_max), calls()))
-        structure._reset_columns()
-        bimodule_filtration_dims(runs[-1][0], 6)
-        calls()
-        # warm, with columns numbered in orders that the fresh runs never saw
-        assert results(-1) == fresh[::-1]
-        assert results() == fresh
-        monkeypatch.setattr(structure, "COLUMN_CAP", len(structure._ATOMS))
-        assert results() == fresh  # the first call clears the registry
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == [True] * 40
 
     @given(
         nonzero_elements1(),
@@ -383,40 +416,44 @@ class TestFiltrationDims:
         for m, product in enumerate(products):
             assert structure._move(structure._row(k), m) == structure._row(product)
 
-    def test_rows_rewrite_h_powers_as_falling_factorials(self, fresh_columns):
+    def test_rows_rewrite_h_powers_as_falling_factorials(self):
         # H^t = sum_s c_s P_{i,s}(H), P_{i,s}(H) = (H+i-1)(H+i-2)...(H+i-s), as
         # values at integer H
         for i in range(-4, 7):
             for t in range(9):
                 row = structure._row(from_atoms([(("v", i, t), 1)]))
-                parts = [(structure._ATOMS[-col], c) for col, c in row.items()]
+                parts = [(structure._atom(col), c) for col, c in row.items()]
                 assert all(tag == "v" and grade == i for (tag, grade, _), _ in parts)
                 for h in range(-10, 11):
                     falling = [math.prod(h + i - k for k in range(1, s + 1)) for (_, _, s), _ in parts]
                     assert sum(p * c for p, (_, c) in zip(falling, parts)) == h**t
 
-    def test_capped_atom_table(self, monkeypatch, fresh_columns):
-        # the registry may outgrow its cap within a call; the next call clears it
+    def test_cap_bounds_move_tables(self, monkeypatch):
+        # the memo may outgrow its cap within a call; the next call clears it
         monkeypatch.setattr(structure, "COLUMN_CAP", 4)
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
-        assert len(structure._ATOMS) > 4
+        assert len(structure._MOVE_TABLES[0]) > 4
         assert bimodule_filtration_dims([E00], 0) == [1]
-        assert structure._ATOMS == [("e", 0, 0)]
-        assert structure._COLUMNS == {("e", 0, 0): 0}
         assert not any(structure._MOVE_TABLES)
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
+        # below the cap the memo is kept across calls
+        monkeypatch.setattr(structure, "COLUMN_CAP", 10**6)
+        size = len(structure._MOVE_TABLES[0])
+        assert bimodule_filtration_dims([e(12, 12)], 3) == brute_filtration_dims([e(12, 12)], 3)
+        assert len(structure._MOVE_TABLES[0]) > size > 4
 
-    def test_word_enumeration_uses_element1_products(self, monkeypatch, fresh_columns):
+    def test_word_enumeration_uses_element1_products(self, monkeypatch):
         # the reference shares no atom products with the engine it checks: the
         # engine's come from its closed-form moves only, the reference's Element1
         # products from atom_mul only
         def unused(*args):
             raise AssertionError("atom products were used")
 
+        clear_move_tables()
         with monkeypatch.context() as patch:
             patch.setattr(element, "atom_mul", unused)
             assert bimodule_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
-        assert any(structure._MOVE_TABLES)  # the moves ran on an empty registry
+        assert any(structure._MOVE_TABLES)  # the moves ran on an empty memo
         products = 0
         mul = Element1.__mul__
 
@@ -425,7 +462,7 @@ class TestFiltrationDims:
             products += 1
             return mul(a, b)
 
-        structure._reset_columns()  # so that a move of the engine's would reach its closed form
+        clear_move_tables()  # so that a move of the engine's would reach its closed form
         with monkeypatch.context() as patch:
             patch.setattr(structure, "_move_terms", unused)
             patch.setattr(Element1, "__mul__", counting_mul)
@@ -461,6 +498,16 @@ class TestFiltrationDims:
         assert bimodule_filtration_dims([Element1.one()], True) == [1, 3]
         with pytest.raises(ValueError, match="^expected rank 1, got rank 2$"):
             bimodule_filtration_dims([Element1.one(), parse_element("x_1", 2)], 3)
+
+    def test_generators_may_be_any_iterable(self):
+        want = bimodule_filtration_dims([Element1.one(), I], 4)
+        assert want == FILTRATION_DIMS_ONE_I[:5]
+        assert bimodule_filtration_dims(iter([Element1.one(), I]), 4) == want
+        assert bimodule_filtration_dims((g for g in [Element1.one(), I]), 4) == want
+        with pytest.raises(TypeError, match="^generators must be operators, got int 1$"):
+            bimodule_filtration_dims([1], 4)
+        with pytest.raises(TypeError, match="^generators must be operators, got str 'I'$"):
+            bimodule_filtration_dims(iter([I, "I"]), 4)
 
 
 class TestMultiplicityReport:
