@@ -371,6 +371,35 @@ class TestFiltrationDims:
         monkeypatch.setattr(structure, "COLUMN_CAP", 1)
         assert job() == alone  # each of its calls clears the memo first
 
+    def test_column_registry_state_does_not_change_results(self, monkeypatch):
+        # column ids need no registry; the one state calls share is the memo of
+        # the moves. The same dimensions and rows added on an empty, a warm and
+        # a just-cleared memo, also for generators whose columns it has not seen
+        calls = count_rows_added(monkeypatch)
+        runs = [
+            ([Element1.one(), I], 16),
+            ([E00], 16),
+            (TWO_GENERATORS, 8),
+            ([D.power(5) * H.power(2) - e(6, 1)], 10),
+            ([I.power(7) + 4 * e(9, 0), D.power(4) * H], 9),
+        ]
+
+        def results(order=1):
+            return [(bimodule_filtration_dims(g, i_max), calls()) for g, i_max in runs[::order]]
+
+        fresh = []
+        for gens, i_max in runs:
+            clear_move_tables()
+            fresh.append((bimodule_filtration_dims(gens, i_max), calls()))
+        clear_move_tables()
+        bimodule_filtration_dims(runs[-1][0], 6)
+        calls()
+        # warm, with the memo filled in orders that the fresh runs never saw
+        assert results(-1) == fresh[::-1]
+        assert results() == fresh
+        monkeypatch.setattr(structure, "COLUMN_CAP", len(structure._MOVE_TABLES[0]))
+        assert results() == fresh  # the first call clears the memo
+
     def test_concurrent_calls(self, monkeypatch):
         # calls share only the memo of the moves; a small cap makes the threads
         # clear it under each other
