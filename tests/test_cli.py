@@ -146,6 +146,25 @@ class TestApply:
         assert code == 0
         assert out.strip() == "1/2*x2^2"
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("apply_rank1", ["3/2*I^2 - d + 2*e(2,1) + H", "x^3 - 2*x + 1/3"]),
+            ("apply_rank2", ["--n", "2", "d_1*I_2 - 1/2*H_1*x_2 + e(0,1)_1", "(x1+x2)^3 - 1/2"]),
+            (
+                "apply_rank3",
+                ["--n", "3", "x_1*d_2*I_3 - 3*e(1,0)_3 + H_2^2", "x1*x2^2*x3 + 5/7*x3 - x1^2"],
+            ),
+            ("apply_zero", ["d^4 + e(0,5)", "x^3 + 2/3*x"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_matches_golden_output(self, capsys, name, argv, fmt, suffix):
+        # byte-exact, so the polynomial parser and printer are pinned
+        code, out, err = run(capsys, "apply", "--format", fmt, *argv)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
+
 
 class TestSplit:
     def test_triple(self, capsys):
