@@ -20,6 +20,7 @@ from .expr import (
     format_poly,
     matrix_to_json,
     parse_element,
+    parse_element_list,
     parse_poly,
     poly_to_json,
 )
@@ -107,21 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p for p in parts if p.strip()]
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -181,8 +167,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    gens = [parse_element(g, args.n) for g in _split_top_level(args.gen)]
-    dims = bimodule_filtration_dims(gens, args.i_max)
+    dims = bimodule_filtration_dims(parse_element_list(args.gen, args.n), args.i_max)
     rep = multiplicity_report(dims)
     report = None if rep is None else rep._asdict()
     fit = "inconclusive" if report is None else " ".join(f"{k}={v}" for k, v in report.items())

@@ -1,7 +1,8 @@
-"""Surface syntax: the expression grammar, polynomial parser and JSON encoders.
+"""Surface syntax: the expression grammar, its evaluator and JSON encoders.
 
 Grammar (whitespace insensitive):
 
+    list : expr (',' expr)*
     expr : ('+'|'-')? term (('+'|'-') term)*
     term : pow ('*' pow)*
     pow  : atom ('^' nat)?
@@ -9,10 +10,11 @@ Grammar (whitespace insensitive):
          | rational | '(' expr ')'
     idx  : '_'? positive-integer   (underscore required for e-units)
 
-Juxtaposition is not multiplication; products need an explicit '*'.  The
-factor index defaults to 1 when the rank is 1 and is required otherwise.
-Polynomials for the `apply` command use the variables x1..xn (bare `x` is
-accepted at rank 1) with the same '+', '-', '*', '^' operators.
+A generator list (`idop dims --gen`) is a list, with no empty item; every
+other input is one expr.  Juxtaposition is not multiplication; products need
+an explicit '*'.  The factor index defaults to 1 when the rank is 1 and is
+required otherwise.  Polynomials for the `apply` command use the variables
+x1..xn (bare `x` is accepted at rank 1) and go through the same evaluator.
 Parentheses nest at most MAX_NESTING (100) levels deep, and the exponents on
 any path through the parse tree multiply to at most MAX_EXPONENT (60).
 """
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from .element import Element1, atom_sort_key, format_terms
-from .tensor import BnElement, ElementN, check_rank, lift, to_element1
+from .element import Element1, Scalar, atom_sort_key, format_terms
+from .tensor import BnElement, ElementN, _collect, _Terms, check_rank, lift, to_element1
 from .oracle import TruncMatrix
 
 
@@ -128,12 +130,16 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
         return self.next()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self, many: bool = False) -> list[Node]:
+        """The whole input: one expr, or with many a list."""
+        nodes = [self.expr()]
+        while many and self.peek().kind == ",":
+            self.next()
+            nodes.append(self.expr())
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.kind!r}", tok.pos)
-        return node
+        return nodes
 
     def expr(self) -> Node:
         sign = 1
@@ -220,96 +226,94 @@ def _resolve_index(index: Optional[int], n: int, pos: int) -> int:
     return index
 
 
-def _eval_element(node: Node, n: int) -> ElementN:
+class _Poly(_Terms):
+    """A polynomial in x_1..x_n while it is evaluated: exponent tuple -> coefficient."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(tuple)  # keys are built by _poly_leaf
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        out: dict[tuple, Scalar] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _collect(out, c1 * c2, [[(a + b, 1)] for a, b in zip(k1, k2)])
+        return self._make(self.n, out)
+
+
+_Poly._family = _Poly
+
+
+def _element_leaf(node: Node, n: int) -> ElementN:
     kind = node[0]
     if kind == "num":
         return ElementN.one(n).scale(node[1])
     if kind == "gen":
         _, name, index, pos = node
         return lift(_resolve_index(index, n, pos), Element1.from_generator(name), n)
+    _, s, t, index, pos = node
+    return lift(_resolve_index(index, n, pos), Element1(fpart={(s, t): 1}), n)
+
+
+def _poly_leaf(node: Node, n: int) -> _Poly:
+    kind = node[0]
+    if kind == "num":
+        return _Poly(n, {(0,) * n: node[1]})
     if kind == "eunit":
-        _, s, t, index, pos = node
-        return lift(_resolve_index(index, n, pos), Element1(fpart={(s, t): 1}), n)
+        raise ExprSyntaxError("e-units are not allowed in polynomials", node[4])
+    _, name, index, pos = node
+    if name != "x":
+        raise ExprSyntaxError(f"only x variables are allowed in polynomials, found {name!r}", pos)
+    k = _resolve_index(index, n, pos)
+    return _Poly(n, {tuple(int(f == k) for f in range(1, n + 1)): 1})
+
+
+def _evaluate(node: Node, leaf: Callable[[Node, int], object], n: int):
+    """The value of a parse tree at rank n: leaf(node, n) for a number,
+    generator or e-unit, and the values' own +, -, * above them."""
+    kind = node[0]
     if kind == "sum":
         (sign, first), *rest = node[1]
-        acc = _eval_element(first, n)
+        acc = _evaluate(first, leaf, n)
         if sign < 0:
             acc = -acc
         for sign, term in rest:
-            acc = acc + _eval_element(term, n) if sign > 0 else acc - _eval_element(term, n)
+            value = _evaluate(term, leaf, n)
+            acc = acc + value if sign > 0 else acc - value
         return acc
     if kind == "prod":
         first, *rest = node[1]
-        acc = _eval_element(first, n)
+        acc = _evaluate(first, leaf, n)
         for factor in rest:
-            acc = acc * _eval_element(factor, n)
+            acc = acc * _evaluate(factor, leaf, n)
         return acc
     if kind == "pow":
-        return _eval_element(node[1], n).power(node[2])
-    raise AssertionError(f"unhandled node {kind}")
+        base, acc = _evaluate(node[1], leaf, n), leaf(("num", 1), n)
+        for _ in range(node[2]):
+            acc = acc * base
+        return acc
+    return leaf(node, n)
 
 
 def parse_element(text: str, n: int = 1) -> ElementN:
     """Parse an operator expression at the given tensor rank (at most MAX_RANK)."""
     n = check_rank(n)
-    return _eval_element(_Parser(_tokenize(text)).parse(), n)
+    (node,) = _Parser(_tokenize(text)).parse()
+    return _evaluate(node, _element_leaf, n)
 
 
-def _poly_mul(lhs: dict, rhs: dict) -> dict[tuple, Fraction]:
-    out: dict[tuple, Fraction] = {}
-    for k1, c1 in lhs.items():
-        for k2, c2 in rhs.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            d = out.get(key, Fraction(0)) + c1 * c2
-            if d:
-                out[key] = d
-            else:
-                out.pop(key, None)
-    return out
+def parse_element_list(text: str, n: int = 1) -> list[ElementN]:
+    """Parse a comma-separated list of operator expressions (the list production)."""
+    n = check_rank(n)
+    nodes = _Parser(_tokenize(text)).parse(many=True)
+    return [_evaluate(node, _element_leaf, n) for node in nodes]
 
 
-def _eval_poly(node: Node, n: int) -> dict[tuple, Fraction]:
-    kind = node[0]
-    if kind == "num":
-        return {(0,) * n: node[1]} if node[1] else {}
-    if kind == "gen":
-        _, name, index, pos = node
-        if name != "x":
-            raise ExprSyntaxError(f"only x variables are allowed in polynomials, found {name!r}", pos)
-        k = _resolve_index(index, n, pos)
-        exps = tuple(1 if f == k else 0 for f in range(1, n + 1))
-        return {exps: Fraction(1)}
-    if kind == "eunit":
-        raise ExprSyntaxError("e-units are not allowed in polynomials", node[4])
-    if kind == "sum":
-        out: dict[tuple, Fraction] = {}
-        for sign, term in node[1]:
-            for k, c in _eval_poly(term, n).items():
-                d = out.get(k, Fraction(0)) + sign * c
-                if d:
-                    out[k] = d
-                else:
-                    out.pop(k, None)
-        return out
-    if kind == "prod":
-        first, *rest = node[1]
-        out = _eval_poly(first, n)
-        for factor in rest:
-            out = _poly_mul(out, _eval_poly(factor, n))
-        return out
-    if kind == "pow":
-        base = _eval_poly(node[1], n)
-        out = {(0,) * n: Fraction(1)}
-        for _ in range(node[2]):
-            out = _poly_mul(out, base)
-        return out
-    raise AssertionError(f"unhandled node {kind}")
-
-
-def parse_poly(text: str, n: int = 1) -> dict[tuple, Fraction]:
+def parse_poly(text: str, n: int = 1) -> dict[tuple, Scalar]:
     """Parse a polynomial in x1..xn as a sparse exponent-vector map."""
     n = check_rank(n)
-    return _eval_poly(_Parser(_tokenize(text)).parse(), n)
+    (node,) = _Parser(_tokenize(text)).parse()
+    return _evaluate(node, _poly_leaf, n).terms
 
 
 def format_poly(p: dict, n: int) -> str:

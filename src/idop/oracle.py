@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
-from .tensor import ElementN, check_rank1
+from .tensor import ElementN, check_operator, check_rank1
 
 Scalar = Union[int, Fraction]
 
@@ -187,6 +187,7 @@ def elementary_matrix(i: int, j: int, N: int) -> TruncMatrix:
 
 def to_matrix_n(a: ElementN, N: int) -> TruncMatrix:
     """Divided-power matrix of a rank-n operator, size N**n."""
+    check_operator(a)
     mat = TruncMatrix(N, rank=a.n)
     for col, multi in enumerate(product(range(N), repeat=a.n)):
         for key, c in a.terms.items():
@@ -205,6 +206,7 @@ def to_matrix_n(a: ElementN, N: int) -> TruncMatrix:
 def up(a: ElementN) -> int:
     """Largest amount by which a can raise polynomial degree in any factor:
     max(0, positive grades in the support), with e(s,t) counted as grade s - t."""
+    check_operator(a)
     return max([0] + [atom_grade(atom) for key in a.terms for atom in key])
 
 
@@ -215,6 +217,7 @@ def consistent(a, b, N: int) -> bool:
     has s + up(a) + up(b) < N, so on those columns the two matrices must agree
     exactly.  Raises ValueError when the window is empty.
     """
+    check_operator(b, "b")  # up(b) would call it a
     ua, ub = up(a), up(b)
     w = N - ua - ub
     if w <= 0:

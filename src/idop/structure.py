@@ -23,7 +23,7 @@ from . import hpoly
 from .hpoly import Scalar
 from .element import Atom, Element1, _index
 from .oracle import RowReducer
-from .tensor import ElementN, _collect, check_rank1
+from .tensor import ElementN, _collect, check_operator, check_rank1
 
 MAX_FILTRATION_INDEX = 16
 
@@ -88,6 +88,7 @@ def _atom_label_parts(atom: Atom) -> list[Tuple[Tuple[Label, Atom], int]]:
 
 
 def _label_components(a: ElementN) -> dict[CensusLabel, dict[Tuple[Atom, ...], Scalar]]:
+    check_operator(a)
     parts: dict[Tuple[Tuple[Label, Atom], ...], Scalar] = {}
     for key, c in a.terms.items():
         _collect(parts, c, [_atom_label_parts(atom) for atom in key])
@@ -106,16 +107,15 @@ def census(a: ElementN) -> set[CensusLabel]:
 
 def socle_level(a: ElementN) -> int:
     """The number of L-labelled factors needed to cover the support, in 0..n."""
-    if a.is_zero():
+    comps = _label_components(a)
+    if not comps:
         raise ValueError("the socle level of the zero element is undefined")
-    return max(sum(1 for lbl in labels if lbl == "L") for labels in _label_components(a))
+    return max(labels.count("L") for labels in comps)
 
 
 def socle_member(a: ElementN, m: int) -> bool:
     m = _index(m, "m")
-    if a.is_zero():
-        return True
-    return socle_level(a) <= m
+    return all(labels.count("L") <= m for labels in _label_components(a))
 
 
 def q_dims(i_max: int) -> list[int]:

@@ -21,7 +21,6 @@ BnElement share one sparse-term linear arithmetic, _Terms.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Optional, Tuple, Union
@@ -53,7 +52,6 @@ MAX_RANK = 16
 
 # The graded parts of the generators; x = I*H.
 _GENERATORS = {"x": {1: hpoly.H}, "d": {-1: hpoly.ONE}, "I": {1: hpoly.ONE}, "H": {0: hpoly.H}}
-_EUNIT_NAME = re.compile(r"^e\((\d+)\s*,\s*(\d+)\)$")
 
 
 def check_rank(n: object) -> int:
@@ -66,8 +64,15 @@ def check_rank(n: object) -> int:
     return n
 
 
-def check_rank1(a: "_Terms") -> None:
-    """The rule of every rank-1 operation: its operand has rank 1."""
+def check_operator(a: object, name: str = "a") -> None:
+    """The rule of every operation on operators: its operand is an ElementN."""
+    if not isinstance(a, ElementN):
+        raise TypeError(f"{name} must be an operator, got {type(a).__name__} {a!r}")
+
+
+def check_rank1(a: object) -> None:
+    """The rule of every rank-1 operation: its operand is an operator of rank 1."""
+    check_operator(a)
     if a.n != 1:
         raise ValueError(f"expected rank 1, got rank {a.n}")
 
@@ -154,8 +159,8 @@ class _Terms:
 def _collect(out: dict, base: Scalar, factor_expansions: list) -> None:
     """Add base times every tensor product of the per-factor expansions, each a
     list of (key part, coefficient) pairs, to out, dropping sums that cancel:
-    the heads of _product, BnElement.__mul__, project_bn, apply_n and
-    structure._label_components."""
+    the heads of _product, BnElement.__mul__, project_bn, apply_n,
+    structure._label_components and the polynomial product of expr._Poly."""
     for combo in product(*factor_expansions):
         key = tuple(part for part, _ in combo)
         c = base
@@ -334,12 +339,9 @@ class Element1(ElementN):
 
     @classmethod
     def from_generator(cls, name: str) -> "Element1":
-        """Build a generator: 'x', 'd', 'I', 'H', or 'e(s,t)'."""
+        """Build a generator: 'x', 'd', 'I' or 'H'; e-units come from Element1(fpart=...)."""
         if name in _GENERATORS:
             return cls(_GENERATORS[name])
-        m = _EUNIT_NAME.match(name)
-        if m:
-            return cls(fpart={(int(m.group(1)), int(m.group(2))): 1})
         raise ValueError(f"unknown generator {name!r}")
 
     # The product is ElementN's; this separate entry lets perfbench's tracer
@@ -372,6 +374,7 @@ class Element1(ElementN):
 
     def grade_component(self, i: int) -> "Element1":
         """The degree-i component: v_i b_i(H) plus all e(s,t) with s - t = i."""
+        i = _index(i, "grade")
         return self._make(1, {k: c for k, c in self.terms.items() if atom_grade(k[0]) == i})
 
     def grades(self) -> set[int]:
@@ -405,6 +408,7 @@ def to_element1(a: ElementN) -> Element1:
 
 def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int, ...], Fraction]:
     """Act on a polynomial in x_1..x_n given as a sparse exponent-vector map."""
+    check_operator(a)
     for exps in p:
         if len(exps) != a.n:
             raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
@@ -454,7 +458,7 @@ class BnElement(_Terms):
 
     def __mul__(self, other: "BnElement") -> "BnElement":
         if not isinstance(other, BnElement):
-            return NotImplemented
+            return self.__rmul__(other)  # a scalar scales, anything else is NotImplemented
         self._require_same_rank(other)
         out: dict[SkewKey, Scalar] = {}
         for k1, c1 in self.terms.items():
@@ -489,6 +493,7 @@ BnElement._family = BnElement
 def project_bn(a: ElementN) -> BnElement:
     """Quotient map killing every tensor with an e-unit in any factor,
     applied factor-wise on the rest.  A ring homomorphism."""
+    check_operator(a)
     out: dict[SkewKey, Scalar] = {}
     for key, c in a.terms.items():
         if any(atom[0] == "e" for atom in key):

@@ -281,6 +281,20 @@ class TestDims:
         assert minus[0] == 0
         assert minus == run(capsys, "dims", "--gen", "x", "--max", "3")
 
+    @pytest.mark.parametrize(
+        "gen, message",
+        [
+            ("1,I*", "unexpected 'end' (at position 4)"),  # positions count in the whole list
+            ("1,,I", "unexpected ',' (at position 2)"),  # an empty item is an error
+            (",I", "unexpected ',' (at position 0)"),
+            ("1,", "unexpected 'end' (at position 2)"),
+        ],
+    )
+    def test_malformed_generator_list(self, capsys, gen, message):
+        code, out, err = run(capsys, "dims", "--gen", gen, "--max", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("gen, name", [("1,I", "dims_one_i"), ("e(0,0)", "dims_e00")])
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     def test_matches_golden_output(self, capsys, gen, name, fmt, suffix):
@@ -453,7 +467,10 @@ def command_lines(draw):
     if draw(st.booleans()):
         argv += ["--format", "json"]
     if command == "dims":
-        return argv + ["--gen", draw(expressions), "--max", str(draw(st.integers(0, 3)))]
+        items = draw(st.lists(expressions, min_size=1, max_size=3))
+        if draw(st.integers(0, 3)) == 0:  # sometimes an empty item
+            items.insert(draw(st.integers(0, len(items))), "")
+        return argv + ["--gen", ",".join(items), "--max", str(draw(st.integers(0, 3)))]
     argv.append(draw(expressions))
     if command == "apply":
         argv.append(draw(polynomials))

@@ -161,7 +161,11 @@ class TestFromGenerator:
         assert H.graded == {0: (Fraction(0), Fraction(1))}
 
     def test_eunit_name(self):
-        assert Element1.from_generator("e(2,3)") == e(2, 3)
+        # e-units come from Element1(fpart=...) or parse_element, which read digits strictly
+        for name in ("e(2,3)", "e(\u0661,2)", "e(1,2)\n"):
+            with pytest.raises(ValueError, match=r"^unknown generator ") as info:
+                Element1.from_generator(name)
+            assert "\n" not in str(info.value)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -229,6 +233,11 @@ class TestGrading:
         assert e(2, 1).grade_component(1) == e(2, 1)
         assert e(2, 1).grade_component(0).is_zero()
 
+    @pytest.mark.parametrize("grade, shown", [(1.5, "float 1.5"), ("a", "str 'a'")])
+    def test_grade_must_be_an_integer(self, grade, shown):
+        with pytest.raises(TypeError, match=f"^grade must be an integer, got {shown}$"):
+            (X + D).grade_component(grade)
+
     @given(elements1())
     def test_components_resum(self, a):
         total = Element1.zero()
@@ -281,6 +290,11 @@ class TestQuotient:
     def test_twist(self):
         # d H = (H+1) d
         assert project_bn(D) * project_bn(H) == BnElement(1, {((1, 0),): 1, ((1, 1),): 1})
+
+    def test_scalar_on_either_side(self):
+        b = project_bn(D + H)
+        for c in (2, Fraction(-1, 3)):
+            assert b * c == c * b == b.scale(c)
 
     @given(elements1(), elements1())
     @settings(max_examples=60, deadline=None)

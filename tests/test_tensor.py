@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idop
 from idop.element import Element1
 from idop.expr import parse_element, parse_poly
 from idop.oracle import consistent
@@ -318,3 +319,37 @@ class TestPrinting:
 
     def test_rank1_falls_back(self):
         assert str(lift(1, X, 1)) == "I*H"
+
+
+# The public functions that take an operator, each called with its operand
+# replaced by `bad` and valid other arguments.
+_OPERATOR_CALLS = {
+    "census": lambda bad: idop.census(bad),
+    "socle_level": lambda bad: idop.socle_level(bad),
+    "socle_member": lambda bad: idop.socle_member(bad, 1),
+    "split": lambda bad: idop.split(bad),
+    "up": lambda bad: idop.up(bad),
+    "to_matrix": lambda bad: idop.to_matrix(bad, 4),
+    "to_matrix_n": lambda bad: idop.to_matrix_n(bad, 4),
+    "to_matrix_monomial": lambda bad: idop.to_matrix_monomial(bad, 4),
+    "consistent": lambda bad: idop.consistent(bad, X, 8),
+    "apply_n": lambda bad: idop.apply_n(bad, {(1,): 1}),
+    "project_bn": lambda bad: idop.project_bn(bad),
+    "lift": lambda bad: idop.lift(1, bad, 2),
+    "to_element1": lambda bad: idop.to_element1(bad),
+}
+
+
+class TestOperandContract:
+    @pytest.mark.parametrize("name", sorted(_OPERATOR_CALLS))
+    # a BnElement has .n and .terms, so only the type check refuses it everywhere
+    @pytest.mark.parametrize(
+        "bad, shown", [(5, "int 5"), (BnElement.one(1), "BnElement 1")], ids=["int", "BnElement"]
+    )
+    def test_non_operator_is_type_error(self, name, bad, shown):
+        with pytest.raises(TypeError, match=f"^a must be an operator, got {re.escape(shown)}$"):
+            _OPERATOR_CALLS[name](bad)
+
+    def test_consistent_names_its_second_operand(self):
+        with pytest.raises(TypeError, match="^b must be an operator, got int 5$"):
+            consistent(X, 5, 8)
