@@ -262,6 +262,33 @@ class TestMatrix:
         assert err == f"error: matrix dimension 17^3 = 4913 exceeds the budget {MAX_MATRIX_DIM}\n"
 
 
+class TestDecompositionsGolden:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("split_rank1", ["split", "1/2*x^2 - 3*e(1,0) + 2/3*d"]),
+            ("split_dense_rank1", ["split", "(x - 2/3*I + e(0,1))^3"]),
+            ("split_zero", ["split", "I*d - 1 + e(0,0)"]),
+            ("socle_rank1", ["socle", "I^2 - 5/2*e(0,3) + x"]),
+            ("socle_rank2", ["socle", "--n", "2", "I_1*I_2 - 1/2*e(1,0)_1*d_2 + x_2"]),
+            ("quot_rank1", ["quot", "3/2*I^2*H - e(2,0) + x*d"]),
+            ("quot_rank2", ["quot", "--n", "2", "H_1*I_2 - 2/3*e(0,0)_1 + d_1*x_2"]),
+            ("quot_zero", ["quot", "e(3,1) - 1/2*e(0,0)"]),
+            ("fdeg_rank1", ["fdeg", "2/5*e(3,1) + x"]),
+            ("fdeg_no_eunits", ["fdeg", "d^3 - 1/2*x"]),
+            ("matrix_rank1", ["matrix", "--size", "4", "x - 1/2*d + 3*e(1,2)"]),
+            ("matrix_rank2", ["matrix", "--n", "2", "--size", "3", "I_1*d_2 - 2/3*e(0,1)_2"]),
+            ("matrix_zero", ["matrix", "--size", "3", "I*d - 1 + e(0,0)"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_matches_golden_output(self, capsys, name, argv, fmt, suffix):
+        # byte-exact, so every command that builds parsed generators is pinned
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
+
+
 class TestDims:
     def test_e00(self, capsys):
         code, out, _ = run(capsys, "dims", "--gen", "e(0,0)", "--max", "6")
