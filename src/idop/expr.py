@@ -56,6 +56,8 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str) -> list[_Token]:
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {type(text).__name__} {text!r}")
     tokens: list[_Token] = []
     i = 0
     while m := _TOKEN.match(text, i):

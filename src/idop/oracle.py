@@ -42,7 +42,7 @@ class TruncMatrix:
 
     __slots__ = ("size", "rank", "entries")
 
-    def __init__(self, size: int, rank: int = 1, entries=None):
+    def __init__(self, size: int, rank: int = 1):
         size, rank = _index(size, "size"), _index(rank, "rank")
         if size < 1:
             raise ValueError(f"size must be positive, got {size}")
@@ -55,12 +55,7 @@ class TruncMatrix:
             )
         self.size = size
         self.rank = rank
-        if entries is None:
-            self.entries = [[0] * dim for _ in range(dim)]
-        else:
-            if len(entries) != dim or any(len(row) != dim for row in entries):
-                raise ValueError(f"entries must be {dim}x{dim}")
-            self.entries = [[exact(c) for c in row] for row in entries]
+        self.entries = [[0] * dim for _ in range(dim)]
 
     @property
     def dim(self) -> int:
@@ -78,6 +73,8 @@ class TruncMatrix:
     __hash__ = None
 
     def __add__(self, other: "TruncMatrix") -> "TruncMatrix":
+        if not isinstance(other, TruncMatrix):
+            return NotImplemented
         if self.size != other.size or self.rank != other.rank:
             raise ValueError("matrix shape mismatch")
         out = TruncMatrix(self.size, self.rank)
@@ -100,9 +97,13 @@ class TruncMatrix:
         return NotImplemented
 
     def __sub__(self, other: "TruncMatrix") -> "TruncMatrix":
+        if not isinstance(other, TruncMatrix):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __matmul__(self, other: "TruncMatrix") -> "TruncMatrix":
+        if not isinstance(other, TruncMatrix):
+            return NotImplemented
         if self.size != other.size or self.rank != other.rank:
             raise ValueError("matrix shape mismatch")
         dim = self.dim
@@ -218,6 +219,7 @@ def consistent(a, b, N: int) -> bool:
     exactly.  Raises ValueError when the window is empty.
     """
     check_operator(b, "b")  # up(b) would call it a
+    N = _index(N, "N")
     ua, ub = up(a), up(b)
     w = N - ua - ub
     if w <= 0:

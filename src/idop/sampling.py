@@ -2,7 +2,7 @@
 
 Bounds are fixed so that every sampled pair keeps a nonempty oracle window at
 N = 24: grades in [-3, 3], H-powers up to 3, e-indices up to 5, coefficients
-uniform in {-9..9} without 0.
+uniform in {-9..9} without 0.  Random Weyl words have at most 3 generators.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ GRADE_BOUND = 3
 H_POWER_BOUND = 3
 EUNIT_BOUND = 5
 COEFF_BOUND = 9
+WEYL_WORD_BOUND = 3
 
 
 def _coeff(rng: random.Random) -> int:
@@ -57,10 +58,10 @@ def random_nonzero_element_n(rng: random.Random, n: int) -> ElementN:
             return e
 
 
-def random_weyl_word(rng: random.Random, n: int, max_len: int = 3) -> ElementN:
-    """A random product of lifted x_i and d_i generators (possibly empty)."""
+def random_weyl_word(rng: random.Random, n: int) -> ElementN:
+    """A random product of at most WEYL_WORD_BOUND lifted x_i and d_i generators."""
     word = ElementN.one(n)
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(rng.randint(0, WEYL_WORD_BOUND)):
         name = rng.choice(["x", "d"])
         factor = rng.randint(1, n)
         word = word * lift(factor, Element1.from_generator(name), n)

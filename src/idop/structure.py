@@ -295,8 +295,7 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
     if not generators:
         raise ValueError("at least one generator is required")
     for g in generators:
-        if not isinstance(g, ElementN):
-            raise TypeError(f"generators must be operators, got {type(g).__name__} {g!r}")
+        check_operator(g, "generators")
         if g.is_zero():
             raise ValueError("generators must be nonzero")
     i_max = _index(i_max, "i_max")

@@ -37,7 +37,6 @@ from .element import (
     atom_mul,
     atom_sort_key,
     check_key,
-    eunit_atom,
     format_terms,
 )
 
@@ -70,6 +69,15 @@ def check_operator(a: object, name: str = "a") -> None:
         raise TypeError(f"{name} must be an operator, got {type(a).__name__} {a!r}")
 
 
+def _mapping(m: object, name: str) -> Mapping:
+    """A term map or polynomial entering the engine: a mapping, or None for empty."""
+    if m is None:
+        return {}
+    if type(m) is not dict and not isinstance(m, Mapping):
+        raise TypeError(f"{name} must be a mapping, got {type(m).__name__} {m!r}")
+    return m
+
+
 def check_rank1(a: object) -> None:
     """The rule of every rank-1 operation: its operand is an operator of rank 1."""
     check_operator(a)
@@ -91,14 +99,13 @@ class _Terms:
     def __init__(self, n: int, terms: Optional[Mapping[tuple, Scalar]] = None):
         n = check_rank(n)
         out: dict[tuple, Scalar] = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != n:
-                    raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
-                key = self._check_key(key)
-                c = hpoly.exact(c)
-                if c:
-                    out[key] = c
+        for key, c in _mapping(terms, "terms").items():
+            if len(key) != n:
+                raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
+            key = self._check_key(key)
+            c = hpoly.exact(c)
+            if c:
+                out[key] = c
         self.n, self.terms = n, out
 
     @classmethod
@@ -302,8 +309,8 @@ class Element1(ElementN):
     """A rank-1 operator: an ElementN of rank 1, built from its canonical form.
 
     Element1(graded, fpart) takes the graded part as a map grade i -> the
-    coefficients of b_i(H), and the e-part as a map (s, t) -> coefficient.
-    The graded and fpart properties read that form back from the term map."""
+    coefficients of b_i(H) and the e-part as a map (s, t) -> coefficient, and
+    checks them as one term map.  The graded and fpart properties read it back."""
 
     __slots__ = ()
 
@@ -312,22 +319,11 @@ class Element1(ElementN):
         graded: Optional[Mapping[int, object]] = None,
         fpart: Optional[Mapping[Tuple[int, int], Scalar]] = None,
     ):
-        terms: dict[Key, Scalar] = {}
-        if graded:
-            for i, p in graded.items():
-                if type(i) is not int:
-                    i = _index(i, "grade")
-                for t, c in enumerate(hpoly.trim(p)):
-                    if c:
-                        terms[(("v", i, t),)] = c
-        if fpart:
-            for (s, t), c in fpart.items():
-                if type(s) is not int or type(t) is not int or s < 0 or t < 0:
-                    s, t = eunit_atom(s, t)[1:]
-                c = hpoly.exact(c)
-                if c:
-                    terms[(("e", s, t),)] = c
-        self.n, self.terms = 1, terms
+        graded, fpart = _mapping(graded, "graded"), _mapping(fpart, "fpart")
+        terms = {(("v", i, t),): c for i, p in graded.items() for t, c in enumerate(p)}
+        for (s, t), c in fpart.items():
+            terms[(("e", s, t),)] = c
+        super().__init__(1, terms)
 
     @staticmethod
     def zero() -> "Element1":
@@ -364,9 +360,6 @@ class Element1(ElementN):
         """The term map as (atom, coefficient) pairs."""
         for (atom,), c in self.terms.items():
             yield atom, c
-
-    def support_vector(self) -> dict[Atom, Scalar]:
-        return dict(self.atoms())
 
     def fdegree(self) -> int:
         """Size of the smallest square e-index block containing the e-part; -1 if none."""
@@ -409,6 +402,7 @@ def to_element1(a: ElementN) -> Element1:
 def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int, ...], Fraction]:
     """Act on a polynomial in x_1..x_n given as a sparse exponent-vector map."""
     check_operator(a)
+    p = _mapping(p, "p")
     for exps in p:
         if len(exps) != a.n:
             raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .element import Element1
+from .element import Element1, _index
 from .oracle import (
     consistent,
     elementary_matrix,
@@ -357,8 +357,10 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 
 
 def run_suites(names: list[str], seed: int = 0, samples: Optional[int] = None) -> list[tuple[str, Check]]:
-    if samples is not None and (type(samples) is not int or samples < 1):
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if samples is not None:
+        samples = _index(samples, "samples")
+        if samples < 1:
+            raise ValueError(f"samples must be a positive integer, got {samples!r}")
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known suites: {', '.join(sorted(SUITES))}")

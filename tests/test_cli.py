@@ -355,17 +355,34 @@ class TestVerify:
             assert len(err.splitlines()) == 1
             assert "--samples" in err
 
-    @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
-    def test_library_samples_must_be_positive_integer(self, monkeypatch, samples):
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (0, ValueError, "samples must be a positive integer, got 0"),
+            (-1, ValueError, "samples must be a positive integer, got -1"),
+            (1.5, TypeError, "samples must be an integer, got float 1.5"),
+            (True, None, None),  # a bool reads as an int, as for every index
+        ],
+        ids=["0", "-1", "1.5", "True"],
+    )
+    def test_library_samples_must_be_positive_integer(self, monkeypatch, samples, error, message):
         import idop.verify as verify
 
-        def unreachable(seed=0, samples=None):
-            raise AssertionError("a check ran")
+        seen = []
 
-        monkeypatch.setitem(verify.SUITES, "relations", unreachable)
-        with pytest.raises(ValueError) as info:
+        def record(seed=0, samples=None):
+            seen.append(samples)
+            return []
+
+        monkeypatch.setitem(verify.SUITES, "relations", record)
+        if error is None:
+            assert verify.run_suites(["relations"], samples=samples) == []
+            assert seen == [1] and type(seen[0]) is int
+            return
+        with pytest.raises(error) as info:
             verify.run_suites(["relations"], samples=samples)
-        assert str(info.value) == f"samples must be a positive integer, got {samples!r}"
+        assert str(info.value) == message
+        assert seen == []
 
     def test_library_rejects_unknown_suite(self, monkeypatch):
         import idop.verify as verify

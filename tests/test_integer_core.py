@@ -85,7 +85,7 @@ class TestIntegerOracle:
     def test_reducer_rows(self, pairs):
         red = RowReducer()
         for a, b in pairs:
-            red.add((a * b).support_vector())
+            red.add(dict((a * b).atoms()))
         red.add({("v", 0, 0): Fraction(1, 2), ("v", 1, 0): Fraction(2, 3)})
         assert all(all_int(row.values()) for row in red._rows)
 
@@ -147,7 +147,7 @@ class TestFloatsRejected:
             lambda: ElementN.one(2).scale(0.5),
             lambda: BnElement.one(1).scale(0.5),
             lambda: BnElement(1, {((0, 0),): 0.5}),
-            lambda: TruncMatrix(1, entries=[[0.5]]),
+            lambda: 0.5 * TruncMatrix(1),
             lambda: TruncMatrix(1).scale(0.5),
             lambda: exact_rank([[1, 0.5]]),
             lambda: apply_n(Element1.one(), {(0,): 0.5}),

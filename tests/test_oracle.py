@@ -34,7 +34,7 @@ def e(s, t):
 
 def atom_rows():
     """Sparse atom-keyed rows: support vectors of products, and short rows of fractions."""
-    products = st.tuples(elements1(), elements1()).map(lambda ab: (ab[0] * ab[1]).support_vector())
+    products = st.tuples(elements1(), elements1()).map(lambda ab: dict((ab[0] * ab[1]).atoms()))
     fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
     return st.lists(st.one_of(products, st.dictionaries(atoms, fractions, max_size=3)), max_size=8)
 
@@ -268,7 +268,7 @@ class TestExactRank:
     def test_weyl_span_of_e00(self):
         X = Element1.from_generator("x")
         rows = [
-            (X.power(a) * e(0, 0) * D.power(d)).support_vector()
+            dict((X.power(a) * e(0, 0) * D.power(d)).atoms())
             for a in range(4)
             for d in range(4 - a)
         ]

@@ -213,7 +213,7 @@ def brute_filtration_dims(generators, i_max):
                 for g in generators:
                     lg = left * g
                     for right in words[i - j]:
-                        red.add((lg * right).support_vector())
+                        red.add(dict((lg * right).atoms()))
         dims.append(red.rank)
     return dims
 
@@ -533,9 +533,9 @@ class TestFiltrationDims:
         assert want == FILTRATION_DIMS_ONE_I[:5]
         assert bimodule_filtration_dims(iter([Element1.one(), I]), 4) == want
         assert bimodule_filtration_dims((g for g in [Element1.one(), I]), 4) == want
-        with pytest.raises(TypeError, match="^generators must be operators, got int 1$"):
+        with pytest.raises(TypeError, match="^generators must be an operator, got int 1$"):
             bimodule_filtration_dims([1], 4)
-        with pytest.raises(TypeError, match="^generators must be operators, got str 'I'$"):
+        with pytest.raises(TypeError, match="^generators must be an operator, got str 'I'$"):
             bimodule_filtration_dims(iter([I, "I"]), 4)
 
 
