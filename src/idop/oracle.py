@@ -180,6 +180,10 @@ def to_matrix_monomial(a: Element1, N: int) -> TruncMatrix:
 
 
 def elementary_matrix(i: int, j: int, N: int) -> TruncMatrix:
+    """The matrix unit E(i,j) truncated to N x N; zero when i or j is >= N."""
+    i, j = _index(i, "i"), _index(j, "j")
+    if i < 0 or j < 0:
+        raise ValueError(f"matrix unit indices must be nonnegative, got ({i},{j})")
     mat = TruncMatrix(N)
     if i < N and j < N:
         mat.entries[i][j] = 1

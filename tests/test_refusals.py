@@ -6,7 +6,7 @@ import pytest
 
 from idop.element import Element1
 from idop.expr import parse_element, parse_element_list, parse_poly
-from idop.oracle import TruncMatrix, consistent
+from idop.oracle import TruncMatrix, consistent, elementary_matrix
 from idop.structure import bimodule_filtration_dims
 from idop.tensor import BnElement, ElementN, apply_n
 from idop.verify import run_suites
@@ -39,6 +39,12 @@ X = Element1.from_generator("x")
         ),
         (lambda: consistent(X, X, 1.5), TypeError, "N must be an integer, got float 1.5"),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
+        (lambda: elementary_matrix(0, 1.5, 3), TypeError, "j must be an integer, got float 1.5"),
+        (
+            lambda: elementary_matrix(-1, 0, 3),
+            ValueError,
+            "matrix unit indices must be nonnegative, got (-1,0)",
+        ),
         # text: expr._tokenize
         (lambda: parse_element(5), TypeError, "text must be a string, got int 5"),
         (lambda: parse_poly(None), TypeError, "text must be a string, got NoneType None"),
