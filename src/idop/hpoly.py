@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 HPoly = tuple  # tuple[int | Fraction, ...]
@@ -40,15 +40,10 @@ def exact(c: object) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def trim(coeffs: Sequence[Scalar]) -> HPoly:
-    """Normalize a coefficient sequence: make each entry exact, drop trailing zeros."""
-    return strip([exact(c) for c in coeffs])
-
-
 def strip(cs: list) -> HPoly:
     """Drop trailing zeros from a list of coefficients that are already exact.
 
-    Arithmetic on exact inputs gives exact results, so they skip `trim`.
+    Arithmetic on exact inputs gives exact results, so it needs no `exact` call.
     """
     while cs and cs[-1] == 0:
         cs.pop()

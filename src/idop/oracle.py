@@ -240,8 +240,12 @@ class RowReducer:
 
     Each stored row is an integer vector with content 1, filed under its
     leading (smallest) key, and no two stored rows share a leading key.  A new
-    row is copied once, and the same pass over its values accepts it when
-    every value is a nonzero plain int; only a row with a zero or another type
+    one-entry dict whose value is a nonzero plain int, at a key that leads no
+    stored row, is stored as its sign at once: it is the filtration's common
+    row, and the branch decides as the path below would.  Any other new row
+    (another mapping, or anything dict() accepts) is copied once, and the
+    same pass over its values accepts it when every value is a nonzero plain
+    int; only a row with a zero or another type
     (Fraction, bool, NumPy integers, floats) goes through _integer_row, which
     clears denominators or raises TypeError.  Then, while its leading key
     belongs to a stored row, it is cross-multiplied against that one row by
@@ -253,10 +257,12 @@ class RowReducer:
     stripping once, at the end, stores the same rows with the same signs.
     Stored rows are not reduced against each other below their leading keys:
     the echelon form is enough for the rank, and every intermediate value
-    stays an exact integer.  Insertion order does not affect the final rank.  add returns the row it
-    stored, so that a caller can build on the reduced row rather than on its
-    input (the filtration extends it); the row stays the reducer's, and
-    callers must not mutate it.
+    stays an exact integer.  Insertion order does not affect the final rank.
+    add returns the row it stored, so that a caller can build on the reduced
+    row rather than on its input (the filtration extends it); the row stays
+    the reducer's, and callers must not mutate it.  add never mutates the row
+    it is given and never stores that object, so a caller may pass a row it
+    shares (the filtration passes its memo rows).
     """
 
     __slots__ = ("_pivots",)
@@ -278,13 +284,19 @@ class RowReducer:
 
         Returns the stored row (the integer echelon row, never empty) or None
         when the row is dependent.  The stored row stays the reducer's own:
-        callers may read and extend it but must not mutate it."""
+        callers may read and extend it but must not mutate it.  The argument
+        is never mutated and never stored itself."""
+        pivots = self._pivots
+        if type(row) is dict and len(row) == 1:  # a fresh one-entry int row is stored at once
+            [(k, v)] = row.items()
+            if type(v) is int and v and k not in pivots:
+                r = pivots[k] = {k: 1 if v > 0 else -1}
+                return r
         r = dict(row)
         for v in r.values():
             if type(v) is not int or not v:
                 r = _integer_row(row)
                 break
-        pivots = self._pivots
         while r:
             pk = min(r)
             prow = pivots.get(pk)

@@ -157,11 +157,13 @@ Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 # A column's id is -(2 pi(t, z) + [tag == "e"]), z = 2i for i >= 0 and -2i-1 for
 # i < 0, pi(t, z) = (t+z)(t+z+1)/2 + z the Cantor pairing; _atom inverts it.  So
 # RowReducer's pivot, a row's smallest id, is a column with the largest t + z.
-# _MOVE_TABLES[m] memoizes move m on a column as terms (column, coefficient); a
-# call clears this pure memo first once _MOVE_TABLES[0] holds COLUMN_CAP columns.
+# _MOVE_TABLES[m] memoizes move m on a column as its image row and the negated
+# row, both built once and never mutated, so that _move can hand out either one
+# itself; a call clears this pure memo first once _MOVE_TABLES[0] holds
+# COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
-_MOVE_TABLES: Tuple[dict[int, Tuple[Tuple[int, Scalar], ...]], ...] = ({}, {}, {}, {})
+_MOVE_TABLES: Tuple[dict[int, Tuple[Row, Row]], ...] = ({}, {}, {}, {})
 
 
 def _column(atom: Atom) -> int:
@@ -192,7 +194,8 @@ def _row(g: ElementN) -> Row:
     return {col: c for col, c in out.items() if c}
 
 
-def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
+def _move_terms(m: int, column: int) -> Tuple[Row, Row]:
+    """Fill the memo of move m on a column: its image row and the negated row."""
     tag, i, t = _atom(column)
     if tag == "v":
         terms = (
@@ -206,21 +209,28 @@ def _move_terms(m: int, column: int) -> Tuple[Tuple[int, Scalar], ...]:
             (("e", i + 1, t), i + 1), (("e", i - 1, t), 1 if i else 0),
             (("e", i, t + 1), 1), (("e", i, t - 1), t),
         ][m : m + 1]
-    terms = tuple((_column(b), p) for b, p in terms if p)
-    _MOVE_TABLES[m][column] = terms
-    return terms
+    image = {_column(b): p for b, p in terms if p}
+    _MOVE_TABLES[m][column] = pair = (image, {b: -p for b, p in image.items()})
+    return pair
 
 
 def _move(row: Row, m: int) -> Row:
-    """The row of move m applied to the operator whose row is given."""
+    """The row of move m applied to the operator whose row is given.
+
+    For a row {a: 1} or {a: -1}, the common kept row, this is the memo row of
+    column a or its negation itself, not a copy: callers must not mutate the
+    result (RowReducer.add never mutates its argument)."""
     table = _MOVE_TABLES[m]
+    if len(row) == 1:
+        [(a, c)] = row.items()
+        if c == 1 or c == -1:
+            image = table.get(a) or _move_terms(m, a)
+            return image[c < 0]
     out: Row = {}
     get = out.get
     for a, c in row.items():
-        terms = table.get(a)
-        if terms is None:
-            terms = _move_terms(m, a)
-        for b, p in terms:
+        image = table.get(a) or _move_terms(m, a)
+        for b, p in image[0].items():
             out[b] = get(b, 0) + c * p
     return {b: v for b, v in out.items() if v} if 0 in out.values() else out
 
@@ -287,9 +297,14 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
 
     For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
     then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
-    move is a sparse sum over that move's memo table.  A row's pivot in the
-    RowReducer is a column with the largest t + z (see _column), whatever
-    ran before, and calls may run concurrently.
+    move is a sparse sum over that move's memo table, which holds each
+    column's image row and its negation.  Almost every kept row is one entry
+    +1 or -1, and its move is then a memo row itself, handed to
+    RowReducer.add without a copy: add never mutates its argument, and its
+    fast branch stores a one-entry row at a fresh pivot as its sign.  Neither
+    shortcut changes a decision, so the rows added and stored stay the same.
+    A row's pivot in the RowReducer is a column with the largest t + z (see
+    _column), whatever ran before, and calls may run concurrently.
     """
     generators = tuple(generators)
     if not generators:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from . import hpoly
 from .element import (
@@ -310,7 +310,9 @@ class Element1(ElementN):
 
     Element1(graded, fpart) takes the graded part as a map grade i -> the
     coefficients of b_i(H) and the e-part as a map (s, t) -> coefficient, and
-    checks them as one term map.  The graded and fpart properties read it back."""
+    checks them as one term map, after refusing a graded value that is not a
+    coefficient sequence and an e-part key that is not a pair.  The graded and
+    fpart properties read it back."""
 
     __slots__ = ()
 
@@ -320,9 +322,19 @@ class Element1(ElementN):
         fpart: Optional[Mapping[Tuple[int, int], Scalar]] = None,
     ):
         graded, fpart = _mapping(graded, "graded"), _mapping(fpart, "fpart")
-        terms = {(("v", i, t),): c for i, p in graded.items() for t, c in enumerate(p)}
-        for (s, t), c in fpart.items():
-            terms[(("e", s, t),)] = c
+        terms = {}
+        for i, p in graded.items():
+            if isinstance(p, Mapping) or not isinstance(p, Iterable):
+                raise TypeError(
+                    f"graded[{i!r}] must be a coefficient sequence, got {type(p).__name__} {p!r}"
+                )
+            terms.update(((("v", i, t),), c) for t, c in enumerate(p))
+        for key, c in fpart.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise (ValueError if isinstance(key, tuple) else TypeError)(
+                    f"fpart key must be an (s, t) pair, got {type(key).__name__} {key!r}"
+                )
+            terms[(("e", *key),)] = c
         super().__init__(1, terms)
 
     @staticmethod

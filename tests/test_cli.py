@@ -322,10 +322,18 @@ class TestDims:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("gen, name", [("1,I", "dims_one_i"), ("e(0,0)", "dims_e00")])
+    @pytest.mark.parametrize(
+        "gen, i_max, name",
+        [
+            pytest.param("1,I", "16", "dims_one_i", id="1,I-dims_one_i"),
+            pytest.param("e(0,0)", "16", "dims_e00", id="e(0,0)-dims_e00"),
+            # most of its stored rows have several entries: the reducer's general path
+            pytest.param("x*d - 2*e(1,1),I^2*H", "12", "dims_mixed", id="mixed-dims_mixed"),
+        ],
+    )
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_matches_golden_output(self, capsys, gen, name, fmt, suffix):
-        code, out, err = run(capsys, "dims", "--gen", gen, "--max", "16", "--format", fmt)
+    def test_matches_golden_output(self, capsys, gen, i_max, name, fmt, suffix):
+        code, out, err = run(capsys, "dims", "--gen", gen, "--max", i_max, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (DATA / f"{name}.golden.{suffix}").read_text()
 

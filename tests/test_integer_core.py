@@ -39,7 +39,7 @@ def coefficients(a) -> list:
     return list(a.terms.values())
 
 
-int_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(hpoly.trim)
+int_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(hpoly.strip)
 shifts = st.integers(min_value=-4, max_value=4)
 
 
@@ -138,7 +138,7 @@ class TestFloatsRejected:
         "build",
         [
             lambda: hpoly.exact(0.5),
-            lambda: hpoly.trim([1, 0.5]),
+            lambda: Element1({2: [1, 0.5]}),
             lambda: Element1({0: [0.1]}),
             lambda: Element1(fpart={(0, 0): 0.25}),
             lambda: Element1.one().scale(2.0),

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -324,6 +325,16 @@ class TestExactRank:
         assert stored == oracle._strip_content(oracle._integer_row(row))
         assert all(type(v) is int for v in stored.values())
 
+    @pytest.mark.parametrize(
+        "row",
+        [[(0, -3)], MappingProxyType({0: -3}), iter([(0, -3)])],
+        ids=lambda row: type(row).__name__,
+    )
+    def test_rows_that_are_not_dicts(self, row):
+        # only a dict takes add's one-entry fast branch; any other row is read
+        # as dict(row) reads it
+        assert RowReducer().add(row) == {0: -1}
+
     def test_numpy_integers_are_stored_as_int(self):
         np = pytest.importorskip("numpy")
         row = {0: np.int64(4), 1: 6}
@@ -372,6 +383,10 @@ class TestExactRank:
     @given(st.one_of(sparse_rows(st.integers(min_value=-6, max_value=6)), sparse_rows(atoms)))
     @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])
     @example([{0: 2, 1: 3}, {0: -4, 1: 1, 2: 6}, {0: 6, 1: 5, 2: 6}])
+    # one-entry rows on fresh keys: add's fast branch takes only the plain int
+    @example([{0: -3}, {1: True}, {2: Fraction(4, 2)}, {3: 0}])
+    # and on a key that is already a pivot, where every row is eliminated
+    @example([{0: 2, 1: 3}, {0: -3}, {0: True}, {0: Fraction(4, 2)}, {0: 0}])
     @settings(max_examples=150, deadline=None)
     def test_stored_rows_match_step_strip_reference(self, rows):
         # stripping content only when a row is stored leaves every stored row,

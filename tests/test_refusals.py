@@ -21,6 +21,18 @@ X = Element1.from_generator("x")
         (lambda: Element1(5), TypeError, "graded must be a mapping, got int 5"),
         (lambda: Element1(fpart=5), TypeError, "fpart must be a mapping, got int 5"),
         (lambda: Element1([(0, [1])]), TypeError, "graded must be a mapping, got list [(0, [1])]"),
+        (lambda: Element1({0: 5}), TypeError, "graded[0] must be a coefficient sequence, got int 5"),
+        (
+            lambda: Element1({2: {1: 3}}),
+            TypeError,
+            "graded[2] must be a coefficient sequence, got dict {1: 3}",
+        ),
+        (lambda: Element1(fpart={5: 1}), TypeError, "fpart key must be an (s, t) pair, got int 5"),
+        (
+            lambda: Element1(fpart={(1, 2, 3): 1}),
+            ValueError,
+            "fpart key must be an (s, t) pair, got tuple (1, 2, 3)",
+        ),
         (lambda: ElementN(2, 5), TypeError, "terms must be a mapping, got int 5"),
         (lambda: ElementN(2, []), TypeError, "terms must be a mapping, got list []"),
         (lambda: BnElement(1, 5), TypeError, "terms must be a mapping, got int 5"),

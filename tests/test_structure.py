@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idop.element as element
-import idop.oracle as oracle
 import idop.structure as structure
 from idop.element import Element1, from_atoms
 from idop.expr import parse_element
@@ -338,24 +337,28 @@ class TestFiltrationDims:
     def test_stored_entries_per_job(self, monkeypatch):
         # the work of the {1, I} and then {e(0,0)} job at 16 does not depend on
         # what ran before it: rows added, elimination steps (the reducer's
-        # min calls that found a stored pivot) and the entries of the rows add
-        # stored, alone, after other jobs and after the memo was cleared
+        # pivot lookups that found a stored row) and the entries of the rows
+        # add stored, alone, after other jobs and after the memo was cleared
         work = {"added": 0, "steps": 0, "entries": 0}
         add = RowReducer.add
+
+        class CountingPivots(dict):
+            def get(self, key, default=None):
+                prow = super().get(key, default)
+                work["steps"] += prow is not None
+                return prow
+
+        def counting_init(self):
+            self._pivots = CountingPivots()
 
         def counting_add(self, row):
             stored = add(self, row)
             work["added"] += 1
-            work["steps"] -= stored is not None  # its last min call found no pivot
             work["entries"] += len(stored or ())
             return stored
 
-        def counting_min(row):
-            work["steps"] += 1
-            return min(row)
-
+        monkeypatch.setattr(RowReducer, "__init__", counting_init)
         monkeypatch.setattr(RowReducer, "add", counting_add)
-        monkeypatch.setattr(oracle, "min", counting_min, raising=False)
 
         def job():
             work.update(added=0, steps=0, entries=0)
@@ -370,6 +373,40 @@ class TestFiltrationDims:
         assert job() == alone
         monkeypatch.setattr(structure, "COLUMN_CAP", 1)
         assert job() == alone  # each of its calls clears the memo first
+
+    def test_memo_rows_are_shared_but_never_mutated_or_stored(self, monkeypatch):
+        # _move hands out the memo's rows themselves, and calls reuse them. add
+        # never mutates a row it is given and never stores one, so each memo
+        # row and negated row still equals its recomputation afterwards
+        stored = []
+        add = RowReducer.add
+
+        def recording_add(self, row):
+            res = add(self, row)
+            stored.append(res)
+            return res
+
+        monkeypatch.setattr(RowReducer, "add", recording_add)
+        memo = []
+
+        def run(gens, i_max):
+            stored.clear()
+            bimodule_filtration_dims(gens, i_max)
+            tables = enumerate(structure._MOVE_TABLES)
+            rows = [(m, a, pair) for m, table in tables for a, pair in table.items()]
+            memo_ids = {id(r) for _, _, pair in rows for r in pair}
+            assert not any(id(r) in memo_ids for r in stored)
+            memo.extend(rows)
+
+        run([Element1.one(), I], 16)
+        run([E00], 16)
+        run([parse_element("x*d - 2*e(1,1)"), parse_element("I^2*H")], 12)
+        monkeypatch.setattr(structure, "COLUMN_CAP", 1)
+        run([Element1.one(), I], 16)  # on a memo that the call cleared first
+        clear_move_tables()
+        for m, a, pair in memo:
+            assert structure._move_terms(m, a) == pair
+        clear_move_tables()
 
     def test_column_registry_state_does_not_change_results(self, monkeypatch):
         # column ids need no registry; the one state calls share is the memo of
