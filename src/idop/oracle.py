@@ -239,29 +239,29 @@ class RowReducer:
     """Incremental fraction-free row echelon form over the rationals.
 
     Each stored row is an integer vector with content 1, filed under its
-    leading (smallest) key, and no two stored rows share a leading key.  A new
-    one-entry dict whose value is a nonzero plain int, at a key that leads no
-    stored row, is stored as its sign at once: it is the filtration's common
-    row, and the branch decides as the path below would.  Any other new row
-    (another mapping, or anything dict() accepts) is copied once, and the
+    leading (smallest) key, and no two stored rows share a leading key.  add
+    copies a new row once (any mapping, or anything dict() accepts), and the
     same pass over its values accepts it when every value is a nonzero plain
-    int; only a row with a zero or another type
-    (Fraction, bool, NumPy integers, floats) goes through _integer_row, which
-    clears denominators or raises TypeError.  Then, while its leading key
-    belongs to a stored row, it is cross-multiplied against that one row by
-    the two leading entries divided by their gcd (never dividing a row); it is
-    stripped of content and stored once it leads with a fresh key, or dropped
-    when it vanishes.  A row stored with one entry v becomes the sign of v,
-    +1 or -1, with no gcd taken.  Each intermediate row is a positive
-    multiple of the one that stripping after every step would give, so
-    stripping once, at the end, stores the same rows with the same signs.
-    Stored rows are not reduced against each other below their leading keys:
-    the echelon form is enough for the rank, and every intermediate value
-    stays an exact integer.  Insertion order does not affect the final rank.
-    add returns the row it stored, so that a caller can build on the reduced
-    row rather than on its input (the filtration extends it); the row stays
-    the reducer's, and callers must not mutate it.  add never mutates the row
-    it is given and never stores that object, so a caller may pass a row it
+    int; only a row with a zero or another type (Fraction, bool, NumPy
+    integers, floats) goes through _integer_row, which clears denominators or
+    raises TypeError.  Then, while its leading key belongs to a stored row,
+    it is cross-multiplied against that one row by the two leading entries
+    divided by their gcd (never dividing a row); it is stripped of content
+    and stored once it leads with a fresh key, or dropped when it vanishes.
+    A row stored with one entry v becomes the sign of v, +1 or -1, with no
+    gcd taken.  Each intermediate row is a positive multiple of the one that
+    stripping after every step would give, so stripping once, at the end,
+    stores the same rows with the same signs.  add_unit(k) is add({k: 1})
+    for the filtration's common row, the unit vector at k: it stores {k: 1}
+    at once when k leads no stored row, drops the row when k leads a
+    one-entry row, and else takes add's path.  Stored rows are not reduced
+    against each other below their leading keys: the echelon form is enough
+    for the rank, and every intermediate value stays an exact integer.
+    Insertion order does not affect the final rank.  add and add_unit return
+    the row they stored, so that a caller can build on the reduced row rather
+    than on its input (the filtration extends it); the row stays the
+    reducer's, and callers must not mutate it.  add never mutates the row it
+    is given and never stores that object, so a caller may pass a row it
     shares (the filtration passes its memo rows).
     """
 
@@ -285,20 +285,26 @@ class RowReducer:
         Returns the stored row (the integer echelon row, never empty) or None
         when the row is dependent.  The stored row stays the reducer's own:
         callers may read and extend it but must not mutate it.  The argument
-        is never mutated and never stored itself."""
+        is never mutated and never stored itself.  A row that dict() cannot
+        read, or whose keys cannot be ordered, raises a one-line TypeError."""
         pivots = self._pivots
-        if type(row) is dict and len(row) == 1:  # a fresh one-entry int row is stored at once
-            [(k, v)] = row.items()
-            if type(v) is int and v and k not in pivots:
-                r = pivots[k] = {k: 1 if v > 0 else -1}
-                return r
-        r = dict(row)
+        try:
+            r = dict(row)
+        except TypeError as exc:
+            raise TypeError(
+                f"row must be a mapping or (key, value) pairs, got {type(row).__name__} ({exc})"
+            ) from None
         for v in r.values():
             if type(v) is not int or not v:
-                r = _integer_row(row)
+                r = _integer_row(r)  # not row: an iterator is read once
                 break
         while r:
-            pk = min(r)
+            try:
+                pk = min(r)
+            except TypeError as exc:
+                raise TypeError(
+                    f"row keys must be comparable with each other and with stored keys ({exc})"
+                ) from None
             prow = pivots.get(pk)
             if prow is None:
                 r = pivots[pk] = {pk: 1 if r[pk] > 0 else -1} if len(r) == 1 else _strip_content(r)
@@ -315,6 +321,23 @@ class RowReducer:
                 else:
                     r.pop(k, None)
         return None
+
+    def add_unit(self, k) -> Optional[dict]:
+        """add({k: 1}), the unit row at key k: the same stored row or None.
+
+        {k: 1} is stored at once when k leads no stored row and dropped when
+        k leads a one-entry row; only a k that leads a row with several
+        entries is handed to add.  An unhashable k raises a one-line
+        TypeError."""
+        pivots = self._pivots
+        try:
+            prow = pivots.get(k)
+        except TypeError:
+            raise TypeError(f"k must be a hashable row key, got {type(k).__name__} {k!r}") from None
+        if prow is None:
+            r = pivots[k] = {k: 1}
+            return r
+        return None if len(prow) == 1 else self.add({k: 1})
 
 
 def _integer_row(row: Mapping) -> dict:

@@ -157,13 +157,12 @@ Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 # A column's id is -(2 pi(t, z) + [tag == "e"]), z = 2i for i >= 0 and -2i-1 for
 # i < 0, pi(t, z) = (t+z)(t+z+1)/2 + z the Cantor pairing; _atom inverts it.  So
 # RowReducer's pivot, a row's smallest id, is a column with the largest t + z.
-# _MOVE_TABLES[m] memoizes move m on a column as its image row and the negated
-# row, both built once and never mutated, so that _move can hand out either one
-# itself; a call clears this pure memo first once _MOVE_TABLES[0] holds
-# COLUMN_CAP columns.
+# _MOVE_TABLES[m] memoizes move m on a column as its image row, built once and
+# never mutated, so that the level loop hands it to the reducer itself; a call
+# clears this pure memo first once _MOVE_TABLES[0] holds COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
-_MOVE_TABLES: Tuple[dict[int, Tuple[Row, Row]], ...] = ({}, {}, {}, {})
+_MOVE_TABLES: Tuple[dict[int, Row], ...] = ({}, {}, {}, {})
 
 
 def _column(atom: Atom) -> int:
@@ -194,8 +193,8 @@ def _row(g: ElementN) -> Row:
     return {col: c for col, c in out.items() if c}
 
 
-def _move_terms(m: int, column: int) -> Tuple[Row, Row]:
-    """Fill the memo of move m on a column: its image row and the negated row."""
+def _move_terms(m: int, column: int) -> Row:
+    """Fill the memo of move m on a column with its image row."""
     tag, i, t = _atom(column)
     if tag == "v":
         terms = (
@@ -209,28 +208,21 @@ def _move_terms(m: int, column: int) -> Tuple[Row, Row]:
             (("e", i + 1, t), i + 1), (("e", i - 1, t), 1 if i else 0),
             (("e", i, t + 1), 1), (("e", i, t - 1), t),
         ][m : m + 1]
-    image = {_column(b): p for b, p in terms if p}
-    _MOVE_TABLES[m][column] = pair = (image, {b: -p for b, p in image.items()})
-    return pair
+    _MOVE_TABLES[m][column] = image = {_column(b): p for b, p in terms if p}
+    return image
 
 
 def _move(row: Row, m: int) -> Row:
-    """The row of move m applied to the operator whose row is given.
-
-    For a row {a: 1} or {a: -1}, the common kept row, this is the memo row of
-    column a or its negation itself, not a copy: callers must not mutate the
-    result (RowReducer.add never mutates its argument)."""
+    """The row of move m applied to the operator whose row is given: a new
+    row, summed over the memo rows of its columns."""
     table = _MOVE_TABLES[m]
-    if len(row) == 1:
-        [(a, c)] = row.items()
-        if c == 1 or c == -1:
-            image = table.get(a) or _move_terms(m, a)
-            return image[c < 0]
     out: Row = {}
     get = out.get
     for a, c in row.items():
-        image = table.get(a) or _move_terms(m, a)
-        for b, p in image[0].items():
+        image = table.get(a)
+        if image is None:
+            image = _move_terms(m, a)
+        for b, p in image.items():
             out[b] = get(b, 0) + c * p
     return {b: v for b, v in out.items() if v} if 0 in out.values() else out
 
@@ -249,8 +241,8 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
     that keep a word x^a d^b g x^c d^e normal.  The moves are numbered
     0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged with the
     move that made it (generators with 3) and is extended only by moves <= its
-    tag.  A kept element is the row that RowReducer.add stored for it, not the
-    candidate row it was handed, so its extensions do not bring back the
+    tag.  A kept element is the row that the RowReducer stored for it, not
+    the candidate row it was handed, so its extensions do not bring back the
     pivots already cleared from it.
 
     Within a level the moves run in the order 0, 1, 2, 3 over all kept
@@ -261,7 +253,7 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
     made at level i-1 by move t is reduced only against rows of V_{i-2} and
     rows stored earlier at its level by moves s <= t, and
     every row stored with tag t lies in W_t = V_{i-2} + the sum over s <= t of
-    move_s(V_{i-2}): it is a positive multiple of its candidate minus a
+    move_s(V_{i-2}): it is a nonzero multiple of its candidate minus a
     combination of such rows.  Let S_i be V_{i-1} plus the span of the extensions.  As
     {x, d} V_{i-2} and V_{i-2} {x, d} lie in V_{i-1}, and a kept k with tag t
     lies in W_t, S_i = V_i follows move by move, each line using the ones
@@ -275,14 +267,16 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
 
     The same lines show that extending stored rows keeps every decision that
     extending the candidates themselves would make.  A kept row r is a
-    positive multiple of its candidate c minus a combination of rows held
+    nonzero multiple of its candidate c minus a combination of rows held
     before c: rows of V_{i-2} and rows kept before r at level i-1.  When move m reaches r,
     the reducer already spans move m of each of them: of V_{i-2} within
     V_{i-1}; of a row with a tag >= m as a candidate made just before; of a
     row with a tag < m, by the lines above, within V_{i-1} and the images of
-    the moves < m.  So move m of r is a positive multiple of move m of c plus
+    the moves < m.  So move m of r is a nonzero multiple of move m of c plus
     an element already spanned, and the same candidates are kept: the rows
-    added stay the same.
+    added stay the same.  The multiple may be negative, as the loop drops
+    the sign and scale of unit rows (below); whether a row depends on the
+    rows held does not depend on its scale.
 
     Each dimension is an exact rational rank; the result is nondecreasing and
     independent of generator order.  Kept elements are held as rows over
@@ -297,12 +291,15 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
 
     For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
     then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
-    move is a sparse sum over that move's memo table, which holds each
-    column's image row and its negation.  Almost every kept row is one entry
-    +1 or -1, and its move is then a memo row itself, handed to
-    RowReducer.add without a copy: add never mutates its argument, and its
-    fast branch stores a one-entry row at a fresh pivot as its sign.  Neither
-    shortcut changes a decision, so the rows added and stored stay the same.
+    move's memo table holds each column's image row.  Almost every kept row
+    is one entry +1 or -1, the unit row e_a up to sign, and the loop moves
+    the column a itself: an image with one entry p e_b is added as e_b by
+    RowReducer.add_unit, and any other image is handed to RowReducer.add as
+    the memo row itself, without a copy (add never mutates or stores its
+    argument).  A kept row with several entries is summed over the memo rows
+    of its columns by _move.  Dropping the signs and the scale p changes no
+    decision, so the rows added stay the same; a stored unit row may differ
+    in sign.
     A row's pivot in the RowReducer is a column with the largest t + z (see
     _column), whatever ran before, and calls may run concurrently.
     """
@@ -324,16 +321,29 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
         for table in _MOVE_TABLES:
             table.clear()
     red = RowReducer()
-    add = red.add
+    add, add_unit = red.add, red.add_unit
     groups = ([], [], [], [row for g in generators if (row := add(_row(g)))])
     dims = [red.rank]
     for _ in range(i_max):
         fresh = ([], [], [], [])
         for m in range(4):
             keep = fresh[m].append
+            table = _MOVE_TABLES[m]
             for group in groups[m:]:
                 for k in group:
-                    if row := add(_move(k, m)):
+                    if len(k) == 1:  # a unit row, up to sign: move its column
+                        [a] = k
+                        image = table.get(a)
+                        if image is None:
+                            image = _move_terms(m, a)
+                        if len(image) == 1:
+                            [b] = image
+                            row = add_unit(b)
+                        else:
+                            row = add(image)
+                    else:
+                        row = add(_move(k, m))
+                    if row:
                         keep(row)
         groups = fresh
         dims.append(red.rank)

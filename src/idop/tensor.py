@@ -100,6 +100,8 @@ class _Terms:
         n = check_rank(n)
         out: dict[tuple, Scalar] = {}
         for key, c in _mapping(terms, "terms").items():
+            if type(key) is not tuple and not isinstance(key, tuple):
+                raise TypeError(f"terms key must be a tuple, got {type(key).__name__} {key!r}")
             if len(key) != n:
                 raise ValueError(f"key {key} has length {len(key)}, expected rank {n}")
             key = self._check_key(key)

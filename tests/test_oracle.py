@@ -331,9 +331,13 @@ class TestExactRank:
         ids=lambda row: type(row).__name__,
     )
     def test_rows_that_are_not_dicts(self, row):
-        # only a dict takes add's one-entry fast branch; any other row is read
-        # as dict(row) reads it
+        # any row that is not a dict is read as dict(row) reads it
         assert RowReducer().add(row) == {0: -1}
+
+    def test_an_iterator_row_is_read_once(self):
+        # a row that needs _integer_row is cleared from add's copy, not read again
+        assert RowReducer().add(iter([(0, Fraction(-3, 2))])) == {0: -1}
+        assert RowReducer().add(iter([(0, -3), (1, 0)])) == {0: -1}
 
     def test_numpy_integers_are_stored_as_int(self):
         np = pytest.importorskip("numpy")
@@ -383,7 +387,7 @@ class TestExactRank:
     @given(st.one_of(sparse_rows(st.integers(min_value=-6, max_value=6)), sparse_rows(atoms)))
     @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])
     @example([{0: 2, 1: 3}, {0: -4, 1: 1, 2: 6}, {0: 6, 1: 5, 2: 6}])
-    # one-entry rows on fresh keys: add's fast branch takes only the plain int
+    # one-entry rows on fresh keys, where only the plain int passes add's value check
     @example([{0: -3}, {1: True}, {2: Fraction(4, 2)}, {3: 0}])
     # and on a key that is already a pivot, where every row is eliminated
     @example([{0: 2, 1: 3}, {0: -3}, {0: True}, {0: Fraction(4, 2)}, {0: 0}])
@@ -398,6 +402,24 @@ class TestExactRank:
             assert stored is None or stored is red._pivots[min(stored)]
             kept.append(bool(stored))
         assert (red._pivots, kept) == step_strip_pivots(rows)
+
+    @given(sparse_rows(st.integers(min_value=-6, max_value=6)), st.integers(-7, 7))
+    @example([{0: 2, 1: 3}], 5)  # k leads no stored row
+    @example([{0: -3}], 0)  # k leads a one-entry row
+    @example([{0: 2, 1: 3}, {1: 4, 2: -6}], 0)  # k leads a row with several entries
+    @example([{0: 2, 1: 3}, {1: 4}], 0)  # and {k: 1} is then dependent
+    @settings(max_examples=150, deadline=None)
+    def test_add_unit_is_add_of_the_unit_row(self, rows, k):
+        # add_unit(k) and add({k: 1}) store equal rows or both return None, and
+        # leave equal reducers behind
+        unit, plain = RowReducer(), RowReducer()
+        for row in rows:
+            unit.add(row)
+            plain.add(row)
+        stored = unit.add_unit(k)
+        assert stored == plain.add({k: 1})
+        assert stored is None or stored is unit._pivots[min(stored)]
+        assert unit._pivots == plain._pivots and unit.rank == plain.rank
 
     @given(atom_rows())
     @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])  # elimination leaves content 2

@@ -6,7 +6,7 @@ import pytest
 
 from idop.element import Element1
 from idop.expr import parse_element, parse_element_list, parse_poly
-from idop.oracle import TruncMatrix, consistent, elementary_matrix
+from idop.oracle import RowReducer, TruncMatrix, consistent, elementary_matrix
 from idop.structure import bimodule_filtration_dims
 from idop.tensor import BnElement, ElementN, apply_n
 from idop.verify import run_suites
@@ -34,6 +34,8 @@ X = Element1.from_generator("x")
             "fpart key must be an (s, t) pair, got tuple (1, 2, 3)",
         ),
         (lambda: ElementN(2, 5), TypeError, "terms must be a mapping, got int 5"),
+        (lambda: ElementN(1, {5: 1}), TypeError, "terms key must be a tuple, got int 5"),
+        (lambda: BnElement(1, {"d": 1}), TypeError, "terms key must be a tuple, got str 'd'"),
         (lambda: ElementN(2, []), TypeError, "terms must be a mapping, got list []"),
         (lambda: BnElement(1, 5), TypeError, "terms must be a mapping, got int 5"),
         (lambda: apply_n(X, [(1,)]), TypeError, "p must be a mapping, got list [(1,)]"),
@@ -61,6 +63,23 @@ X = Element1.from_generator("x")
         (lambda: parse_element(5), TypeError, "text must be a string, got int 5"),
         (lambda: parse_poly(None), TypeError, "text must be a string, got NoneType None"),
         (lambda: parse_element_list(5), TypeError, "text must be a string, got int 5"),
+        # rows: RowReducer.add and add_unit, checked only where they would fail
+        (
+            lambda: RowReducer().add(5),
+            TypeError,
+            "row must be a mapping or (key, value) pairs, got int ('int' object is not iterable)",
+        ),
+        (
+            lambda: RowReducer().add({0: 1, "a": 1}),
+            TypeError,
+            "row keys must be comparable with each other and with stored keys "
+            "('<' not supported between instances of 'str' and 'int')",
+        ),
+        (
+            lambda: RowReducer().add_unit([0]),
+            TypeError,
+            "k must be a hashable row key, got list [0]",
+        ),
         # matrices: a non-matrix operand is NotImplemented
         (
             lambda: TruncMatrix(2) + 5,

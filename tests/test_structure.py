@@ -222,22 +222,54 @@ def clear_move_tables():
         table.clear()
 
 
-def count_rows_added(monkeypatch):
-    """Count RowReducer.add calls; the returned function reads and resets the count."""
-    calls = 0
-    add = RowReducer.add
+def record_rows_added(monkeypatch, record):
+    """Call record(reducer, stored, handed_on) once for each row handed to a
+    RowReducer: once per add or add_unit call, where the add that add_unit
+    makes for a key that leads a row with several entries counts with its
+    add_unit call.  handed_on tells that add_unit made that add call, which
+    looks the key up a second time."""
+    add, add_unit = RowReducer.add, RowReducer.add_unit
+    in_unit = handed_on = False
 
-    def counting_add(self, row):
+    def recording_add(self, row):
+        nonlocal handed_on
+        stored = add(self, row)
+        if in_unit:
+            handed_on = True  # recorded with its add_unit call
+        else:
+            record(self, stored, False)
+        return stored
+
+    def recording_add_unit(self, k):
+        nonlocal in_unit, handed_on
+        in_unit, handed_on = True, False
+        try:
+            stored = add_unit(self, k)
+        finally:
+            in_unit = False
+        record(self, stored, handed_on)
+        return stored
+
+    monkeypatch.setattr(RowReducer, "add", recording_add)
+    monkeypatch.setattr(RowReducer, "add_unit", recording_add_unit)
+
+
+def count_rows_added(monkeypatch):
+    """Count the rows handed to RowReducer (add plus add_unit calls, an add
+    inside add_unit not counted again); the returned function reads and
+    resets the count."""
+    calls = 0
+
+    def count(reducer, stored, handed_on):
         nonlocal calls
         calls += 1
-        return add(self, row)
 
     def read():
         nonlocal calls
         n, calls = calls, 0
         return n
 
-    monkeypatch.setattr(RowReducer, "add", counting_add)
+    record_rows_added(monkeypatch, count)
     return read
 
 
@@ -275,26 +307,42 @@ class TestFiltrationDims:
 
     def test_moves_extend_stored_rows(self, monkeypatch):
         # every kept element is extended from the row its reducer stored, not
-        # from the row it was handed
-        add, move = RowReducer.add, structure._move
-        reducers, added, moved = [], 0, 0
+        # from the row it was handed: a row with several entries is handed to
+        # _move itself, and a unit row is moved by its column, which leads a
+        # stored one-entry row
+        move = structure._move
+        reducers, added, moved, units = [], 0, 0, 0
+        in_move = False
 
-        def recording_add(self, row):
+        def recording(red, stored, handed_on):
             nonlocal added
             added += 1
-            if self not in reducers:
-                reducers.append(self)
-            return add(self, row)
+            if red not in reducers:
+                reducers.append(red)
+
+        class CheckedTable(dict):
+            def get(self, a, default=None):
+                nonlocal units
+                if not in_move:
+                    units += 1
+                    (red,) = reducers
+                    assert len(red._pivots[a]) == 1
+                return super().get(a, default)
 
         def checked_move(row, m):
-            nonlocal moved
+            nonlocal moved, in_move
             moved += 1
             (red,) = reducers
-            assert red._pivots.get(min(row)) is row
-            return move(row, m)
+            assert len(row) > 1 and red._pivots.get(min(row)) is row
+            in_move = True
+            try:
+                return move(row, m)
+            finally:
+                in_move = False
 
-        monkeypatch.setattr(RowReducer, "add", recording_add)
+        record_rows_added(monkeypatch, recording)
         monkeypatch.setattr(structure, "_move", checked_move)
+        monkeypatch.setattr(structure, "_MOVE_TABLES", tuple(CheckedTable() for _ in range(4)))
         for gens in (
             [Element1.one(), I],
             STORED_DIFFERS_BY_CONTENT,
@@ -302,9 +350,10 @@ class TestFiltrationDims:
             STORED_DIFFERS_BY_DENOMINATORS,
         ):
             reducers.clear()
-            added = moved = 0
+            added = moved = units = 0
             bimodule_filtration_dims(gens, 8)
-            assert moved == added - len(gens) > 0
+            assert moved + units == added - len(gens)
+            assert moved > 0 and units > 0
 
     def test_rows_added_per_level(self, monkeypatch):
         # only the elements kept at the previous level are extended, and only
@@ -324,6 +373,23 @@ class TestFiltrationDims:
             assert bimodule_filtration_dims([read(g) for g in TWO_GENERATORS], 8)[-1] == 278
             assert calls() == 353
 
+    def test_unit_rows_reach_every_add_unit_outcome(self, monkeypatch):
+        # the dims_mixed generators move unit rows onto columns that lead no
+        # stored row, a one-entry row and a row with several entries
+        add_unit = RowReducer.add_unit
+        outcomes = {"fresh": 0, "one entry": 0, "several entries": 0}
+
+        def recording_add_unit(self, k):
+            prow = self._pivots.get(k)
+            size = len(prow or ())
+            outcomes["fresh" if not size else "one entry" if size == 1 else "several entries"] += 1
+            return add_unit(self, k)
+
+        monkeypatch.setattr(RowReducer, "add_unit", recording_add_unit)
+        gens = [parse_element("x*d - 2*e(1,1)"), parse_element("I^2*H")]
+        assert bimodule_filtration_dims(gens, 12)[-1] == 335
+        assert outcomes == {"fresh": 98, "one entry": 10, "several entries": 26}
+
     def test_column_ids_are_a_bijection(self):
         # the id of a column is computed from the column alone and _atom inverts it
         atoms = [("v", i, t) for i in range(-20, 21) for t in range(21)]
@@ -340,7 +406,6 @@ class TestFiltrationDims:
         # pivot lookups that found a stored row) and the entries of the rows
         # add stored, alone, after other jobs and after the memo was cleared
         work = {"added": 0, "steps": 0, "entries": 0}
-        add = RowReducer.add
 
         class CountingPivots(dict):
             def get(self, key, default=None):
@@ -351,14 +416,13 @@ class TestFiltrationDims:
         def counting_init(self):
             self._pivots = CountingPivots()
 
-        def counting_add(self, row):
-            stored = add(self, row)
+        def counting(red, stored, handed_on):
             work["added"] += 1
+            work["steps"] -= handed_on  # add_unit and then add looked up one pivot
             work["entries"] += len(stored or ())
-            return stored
 
         monkeypatch.setattr(RowReducer, "__init__", counting_init)
-        monkeypatch.setattr(RowReducer, "add", counting_add)
+        record_rows_added(monkeypatch, counting)
 
         def job():
             work.update(added=0, steps=0, entries=0)
@@ -375,26 +439,19 @@ class TestFiltrationDims:
         assert job() == alone  # each of its calls clears the memo first
 
     def test_memo_rows_are_shared_but_never_mutated_or_stored(self, monkeypatch):
-        # _move hands out the memo's rows themselves, and calls reuse them. add
-        # never mutates a row it is given and never stores one, so each memo
-        # row and negated row still equals its recomputation afterwards
+        # the level loop hands the memo's image rows themselves to add, and
+        # calls reuse them. add never mutates a row it is given and never
+        # stores one, so each memo row still equals its recomputation afterwards
         stored = []
-        add = RowReducer.add
-
-        def recording_add(self, row):
-            res = add(self, row)
-            stored.append(res)
-            return res
-
-        monkeypatch.setattr(RowReducer, "add", recording_add)
+        record_rows_added(monkeypatch, lambda red, row, handed_on: stored.append(row))
         memo = []
 
         def run(gens, i_max):
             stored.clear()
             bimodule_filtration_dims(gens, i_max)
             tables = enumerate(structure._MOVE_TABLES)
-            rows = [(m, a, pair) for m, table in tables for a, pair in table.items()]
-            memo_ids = {id(r) for _, _, pair in rows for r in pair}
+            rows = [(m, a, image) for m, table in tables for a, image in table.items()]
+            memo_ids = {id(image) for _, _, image in rows}
             assert not any(id(r) in memo_ids for r in stored)
             memo.extend(rows)
 
@@ -404,8 +461,8 @@ class TestFiltrationDims:
         monkeypatch.setattr(structure, "COLUMN_CAP", 1)
         run([Element1.one(), I], 16)  # on a memo that the call cleared first
         clear_move_tables()
-        for m, a, pair in memo:
-            assert structure._move_terms(m, a) == pair
+        for m, a, image in memo:
+            assert structure._move_terms(m, a) == image
         clear_move_tables()
 
     def test_column_registry_state_does_not_change_results(self, monkeypatch):
