@@ -17,7 +17,6 @@ from .oracle import (
     RowReducer,
     TruncMatrix,
     consistent,
-    exact_rank,
     to_matrix,
     to_matrix_monomial,
     to_matrix_n,
@@ -31,9 +30,7 @@ from .structure import (
     census,
     kernel_witness_check,
     multiplicity_report,
-    q_dims,
     socle_level,
-    socle_member,
     split,
 )
 from .tensor import (
@@ -65,7 +62,6 @@ __all__ = [
     "census",
     "consistent",
     "eunit_atom",
-    "exact_rank",
     "from_atoms",
     "graded_atom",
     "kernel_witness_check",
@@ -74,9 +70,7 @@ __all__ = [
     "parse_element",
     "parse_poly",
     "project_bn",
-    "q_dims",
     "socle_level",
-    "socle_member",
     "split",
     "to_element1",
     "to_matrix",

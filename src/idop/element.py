@@ -105,7 +105,13 @@ def from_atoms(pairs: Iterable[Tuple[Atom, Scalar]]) -> "Element1":
     """Reassemble an Element1 from (atom, coefficient) pairs, merging duplicates.
 
     Atoms are validated as in check_key and coefficients made exact."""
-    pairs = list(pairs)
+    try:
+        pairs = [(atom, c) for atom, c in pairs]
+    except (TypeError, ValueError) as exc:
+        error = TypeError if isinstance(exc, TypeError) else ValueError
+        raise error(
+            f"pairs must be (atom, coefficient) pairs, got {type(pairs).__name__} ({exc})"
+        ) from None
     terms: dict = {}
     for atom, (_, c) in zip(check_key(atom for atom, _ in pairs), pairs):
         terms[(atom,)] = terms.get((atom,), 0) + hpoly.exact(c)

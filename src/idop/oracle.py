@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
@@ -120,16 +120,6 @@ class TruncMatrix:
                         if b:
                             crow[j] += a * b
         return out
-
-    def transposed(self) -> "TruncMatrix":
-        out = TruncMatrix(self.size, self.rank)
-        for r in range(self.dim):
-            for c in range(self.dim):
-                out.entries[c][r] = self.entries[r][c]
-        return out
-
-    def column(self, s: int) -> list[Scalar]:
-        return [self.entries[r][s] for r in range(self.dim)]
 
     def __repr__(self) -> str:
         rows = [" ".join(str(c) for c in row) for row in self.entries]
@@ -355,16 +345,3 @@ def _integer_row(row: Mapping) -> dict:
 def _strip_content(row: dict) -> dict:
     g = math.gcd(*row.values())
     return row if g == 1 else {k: v // g for k, v in row.items()}
-
-
-def exact_rank(rows: Iterable) -> int:
-    """Rank over the rationals of sparse mappings or dense sequences; deterministic."""
-    red = RowReducer()
-    for row in rows:
-        if isinstance(row, Mapping):
-            red.add(row)
-        elif isinstance(row, Sequence):
-            red.add({i: v for i, v in enumerate(row) if v})
-        else:
-            raise TypeError(f"row must be a mapping or sequence, got {type(row)!r}")
-    return red.rank

@@ -48,11 +48,12 @@ def split(a: ElementN) -> SplitTriple:
     return SplitTriple(*(Element1._make(1, comps.get((label,), {})) for label in "AFL"))
 
 
-def in_a_span(e: Element1) -> bool:
+def in_a_span(a: Element1) -> bool:
     """Membership in the span of x^i d^j, checked on canonical support."""
-    if e.fpart:
+    check_rank1(a)
+    if a.fpart:
         return False
-    for i, b in e.graded.items():
+    for i, b in a.graded.items():
         if i > 0:
             _, r = hpoly.divmod_monic(b, hpoly.rising_factorial(i))
             if r:
@@ -60,14 +61,16 @@ def in_a_span(e: Element1) -> bool:
     return True
 
 
-def in_f_span(e: Element1) -> bool:
-    return not e.graded
+def in_f_span(a: Element1) -> bool:
+    check_rank1(a)
+    return not a.graded
 
 
-def in_l_span(e: Element1) -> bool:
-    if e.fpart:
+def in_l_span(a: Element1) -> bool:
+    check_rank1(a)
+    if a.fpart:
         return False
-    return all(i > 0 and hpoly.degree(b) < i for i, b in e.graded.items())
+    return all(i > 0 and hpoly.degree(b) < i for i, b in a.graded.items())
 
 
 def _atom_label_parts(atom: Atom) -> list[Tuple[Tuple[Label, Atom], int]]:
@@ -111,27 +114,6 @@ def socle_level(a: ElementN) -> int:
     if not comps:
         raise ValueError("the socle level of the zero element is undefined")
     return max(labels.count("L") for labels in comps)
-
-
-def socle_member(a: ElementN, m: int) -> bool:
-    m = _index(m, "m")
-    return all(labels.count("L") <= m for labels in _label_components(a))
-
-
-def q_dims(i_max: int) -> list[int]:
-    """Dimensions of the nested L-spans {I^j H^t : 1 <= j <= i+1, 0 <= t < j},
-    computed by enumeration and exact rank."""
-    i_max = _index(i_max, "i_max")
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
-    red = RowReducer()
-    dims = []
-    for i in range(i_max + 1):
-        j = i + 1
-        for t in range(j):
-            red.add({("v", j, t): 1})
-        dims.append(red.rank)
-    return dims
 
 
 def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, bool]:
@@ -383,6 +365,8 @@ def _stable_tail(seq: Sequence[int]) -> Optional[int]:
 
 def multiplicity_report(dims: Sequence[int]) -> Optional[MultiplicityReport]:
     """Detect polynomial growth degree; None when nothing stabilizes in range."""
+    if not isinstance(dims, Iterable):
+        raise TypeError(f"dims must be a sequence of integers, got {type(dims).__name__} {dims!r}")
     seq = dims = [_index(d, "an entry of dims") for d in dims]
     for deg in range(len(seq)):
         start = _stable_tail(seq)

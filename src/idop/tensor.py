@@ -33,7 +33,6 @@ from .element import (
     _graded_atom_str,
     _index,
     atom_apply_power,
-    atom_grade,
     atom_mul,
     atom_sort_key,
     check_key,
@@ -378,23 +377,6 @@ class Element1(ElementN):
     def fdegree(self) -> int:
         """Size of the smallest square e-index block containing the e-part; -1 if none."""
         return max((max(s, t) for s, t in self.fpart), default=-1)
-
-    def grade_component(self, i: int) -> "Element1":
-        """The degree-i component: v_i b_i(H) plus all e(s,t) with s - t = i."""
-        i = _index(i, "grade")
-        return self._make(1, {k: c for k, c in self.terms.items() if atom_grade(k[0]) == i})
-
-    def grades(self) -> set[int]:
-        return {atom_grade(atom) for (atom,) in self.terms}
-
-    def transpose(self) -> "Element1":
-        """Matrix transpose in the divided-power basis: d <-> I, H fixed, e(s,t) -> e(t,s).
-
-        An involutive anti-automorphism: v_i b(H) -> b(H) v_{-i} = v_{-i} b(H-i).
-        """
-        g = {-i: hpoly.shift(p, -i) for i, p in self.graded.items()}
-        f = {(t, s): c for (s, t), c in self.fpart.items()}
-        return Element1(g, f)
 
 
 def lift(factor: int, a: Element1, n: int) -> ElementN:

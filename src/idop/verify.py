@@ -34,7 +34,6 @@ from .structure import (
     in_l_span,
     kernel_witness_check,
     multiplicity_report,
-    q_dims,
     socle_level,
     split,
 )
@@ -167,10 +166,6 @@ def oracle_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
 def dims_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
     """Exact dimension counts with known closed forms."""
     checks = _Checks()
-    got = q_dims(12)
-    want = [(i + 1) * (i + 2) // 2 for i in range(13)]
-    checks.add("q_dims(12) = (i+1)(i+2)/2", got == want, f"got {got}")
-
     e00 = Element1(fpart={(0, 0): 1})
     got = bimodule_filtration_dims([e00], 10)
     want = [(i + 1) * (i + 2) // 2 for i in range(11)]

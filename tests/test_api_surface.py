@@ -1,0 +1,50 @@
+"""Every function, method and class defined in src/idop (outside __init__.py)
+is named by some code in src/idop (outside __init__.py) or in perfbench/.
+A definition that only tests or the export list reach is dead code. Dunders
+are exempt: the language calls them. A name in the definition's own body
+counts, so an override that calls its base through super() passes."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = [p for p in sorted((ROOT / "src" / "idop").glob("*.py")) if p.name != "__init__.py"]
+CORPUS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+# a string constant names something when it is a (dotted) identifier, as in the
+# tracer's target table; prose such as docstrings does not count
+_NAME_STRING = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _names(node: ast.AST) -> list[str]:
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if _NAME_STRING.fullmatch(sub.value):
+                out.extend(sub.value.split("."))
+    return out
+
+
+def _unreferenced() -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in CORPUS}
+    named = {name for tree in trees.values() for name in _names(tree)}
+    flagged = []
+    for path in SOURCES:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and name not in named:
+                flagged.append(f"{path.name}:{node.lineno} {name}")
+    return flagged
+
+
+def test_every_definition_is_named_outside_tests():
+    assert _unreferenced() == []

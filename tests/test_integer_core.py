@@ -18,7 +18,6 @@ from idop.oracle import (
     RowReducer,
     TruncMatrix,
     consistent,
-    exact_rank,
     to_matrix,
     to_matrix_n,
 )
@@ -149,7 +148,7 @@ class TestFloatsRejected:
             lambda: BnElement(1, {((0, 0),): 0.5}),
             lambda: 0.5 * TruncMatrix(1),
             lambda: TruncMatrix(1).scale(0.5),
-            lambda: exact_rank([[1, 0.5]]),
+            lambda: RowReducer().add({0: 1, 1: 0.5}),
             lambda: apply_n(Element1.one(), {(0,): 0.5}),
             lambda: apply_n(ElementN.one(2), {(0, 0): 0.5}),
             lambda: apply_n(ElementN.zero(2), {(0, 0): 0.5}),

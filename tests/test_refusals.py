@@ -4,14 +4,21 @@ names the argument."""
 
 import pytest
 
-from idop.element import Element1
+from idop.element import Element1, from_atoms
 from idop.expr import parse_element, parse_element_list, parse_poly
 from idop.oracle import RowReducer, TruncMatrix, consistent, elementary_matrix
-from idop.structure import bimodule_filtration_dims
-from idop.tensor import BnElement, ElementN, apply_n
+from idop.structure import (
+    bimodule_filtration_dims,
+    in_a_span,
+    in_f_span,
+    in_l_span,
+    multiplicity_report,
+)
+from idop.tensor import BnElement, ElementN, apply_n, lift
 from idop.verify import run_suites
 
 X = Element1.from_generator("x")
+X2 = lift(1, X, 2)
 
 
 @pytest.mark.parametrize(
@@ -39,12 +46,27 @@ X = Element1.from_generator("x")
         (lambda: ElementN(2, []), TypeError, "terms must be a mapping, got list []"),
         (lambda: BnElement(1, 5), TypeError, "terms must be a mapping, got int 5"),
         (lambda: apply_n(X, [(1,)]), TypeError, "p must be a mapping, got list [(1,)]"),
+        (
+            lambda: from_atoms(5),
+            TypeError,
+            "pairs must be (atom, coefficient) pairs, got int ('int' object is not iterable)",
+        ),
+        (
+            lambda: from_atoms([(("v", 0, 0),)]),
+            ValueError,
+            "pairs must be (atom, coefficient) pairs, got list "
+            "(not enough values to unpack (expected 2, got 1))",
+        ),
         # operands: check_operator
         (
             lambda: bimodule_filtration_dims([1], 4),
             TypeError,
             "generators must be an operator, got int 1",
         ),
+        # rank-1 operands: check_rank1
+        (lambda: in_a_span(X2), ValueError, "expected rank 1, got rank 2"),
+        (lambda: in_f_span(X2), ValueError, "expected rank 1, got rank 2"),
+        (lambda: in_l_span(X2), ValueError, "expected rank 1, got rank 2"),
         # indices: element._index
         (
             lambda: run_suites(["relations"], samples=1.5),
@@ -52,6 +74,11 @@ X = Element1.from_generator("x")
             "samples must be an integer, got float 1.5",
         ),
         (lambda: consistent(X, X, 1.5), TypeError, "N must be an integer, got float 1.5"),
+        (
+            lambda: multiplicity_report(None),
+            TypeError,
+            "dims must be a sequence of integers, got NoneType None",
+        ),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
         (lambda: elementary_matrix(0, 1.5, 3), TypeError, "j must be an integer, got float 1.5"),
         (

@@ -27,9 +27,7 @@ from idop.structure import (
     in_l_span,
     kernel_witness_check,
     multiplicity_report,
-    q_dims,
     socle_level,
-    socle_member,
     split,
 )
 from idop.tensor import ElementN, lift
@@ -114,18 +112,6 @@ class TestSocle:
         with pytest.raises(ValueError):
             socle_level(ElementN.zero(2))
 
-    def test_membership(self):
-        assert socle_member(lift(2, I, 2), 1)
-        assert not socle_member(lift(1, I, 2) * lift(2, I, 2), 1)
-        assert socle_member(ElementN.zero(2), 0)
-
-    def test_membership_level_must_be_an_integer(self):
-        for a in (lift(2, I, 2), ElementN.zero(2)):
-            with pytest.raises(TypeError, match="^m must be an integer, got str 'a'$"):
-                socle_member(a, "a")
-            with pytest.raises(TypeError, match="^m must be an integer, got float 1.5$"):
-                socle_member(a, 1.5)
-
     def test_cancellation_is_respected(self):
         # I^2 H(H+1) = x^2 is Weyl even though the atoms I^2 H^t are not
         a = lift(1, I.power(2) * (H * H + H), 2)
@@ -161,23 +147,6 @@ class TestCensus:
             a = random_nonzero_element_n(rng, 2)
             b = random_nonzero_element_n(rng, 2)
             assert census(a + b) <= census(a) | census(b)
-
-
-class TestQDims:
-    def test_first(self):
-        assert q_dims(0) == [1]
-
-    def test_closed_form(self):
-        assert q_dims(2) == [1, 3, 6]
-        got = q_dims(10)
-        assert got[10] == 66
-        assert got == [(i + 1) * (i + 2) // 2 for i in range(11)]
-
-    def test_validation(self):
-        with pytest.raises(TypeError, match="^i_max must be an integer, got float 2.5$"):
-            q_dims(2.5)
-        with pytest.raises(ValueError, match="^i_max must be nonnegative, got -1$"):
-            q_dims(-1)
 
 
 class TestKernelWitness:

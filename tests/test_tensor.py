@@ -326,7 +326,6 @@ class TestPrinting:
 _OPERATOR_CALLS = {
     "census": lambda bad: idop.census(bad),
     "socle_level": lambda bad: idop.socle_level(bad),
-    "socle_member": lambda bad: idop.socle_member(bad, 1),
     "split": lambda bad: idop.split(bad),
     "up": lambda bad: idop.up(bad),
     "to_matrix": lambda bad: idop.to_matrix(bad, 4),
