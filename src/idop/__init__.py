@@ -28,7 +28,6 @@ from .structure import (
     SplitTriple,
     bimodule_filtration_dims,
     census,
-    kernel_witness_check,
     multiplicity_report,
     socle_level,
     split,
@@ -64,7 +63,6 @@ __all__ = [
     "eunit_atom",
     "from_atoms",
     "graded_atom",
-    "kernel_witness_check",
     "lift",
     "multiplicity_report",
     "parse_element",

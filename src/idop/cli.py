@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -36,13 +37,9 @@ from .tensor import apply_n, project_bn, to_element1
 from .verify import SUITES, run_suites
 
 
-class _CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
-        raise _CliError(message)
+        raise ValueError(message)
 
     def _parse_optional(self, arg_string):
         # A single-dash token that names no option, such as "-x-d", is an
@@ -56,11 +53,18 @@ class _Parser(argparse.ArgumentParser):
         return None if all(t[0] is None for t in tuples) else option
 
 
+def _integer(text: str, expected: str = "an integer") -> int:
+    # ASCII digits only, as in expressions: int() would also take "٢", "1_0" and " +1"
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    value = _integer(text, "a positive integer")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -93,7 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive_int, default=8, help="truncation size N (default 8)")
     p = sub.add_parser("dims", parents=[common], help="two-sided filtration dimensions (rank 1)")
     p.add_argument("--gen", required=True, help="comma-separated generator expressions")
-    p.add_argument("--max", dest="i_max", type=int, required=True, help="largest filtration index")
+    p.add_argument(
+        "--max", dest="i_max", type=_integer, required=True, help="largest filtration index"
+    )
     p = sub.add_parser("verify", parents=[fmt], help="run the verification suites")
     p.add_argument(
         "--suite",
@@ -104,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_positive_int, default=None, help="override randomized sample counts"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for randomized suites")
     return parser
 
 

@@ -20,13 +20,11 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
 from .tensor import ElementN, check_operator, check_rank1
-
-Scalar = Union[int, Fraction]
 
 # Largest matrix dimension size**rank a TruncMatrix may have: a dense
 # 4096 x 4096 grid of Python ints already takes over 100 MB.
@@ -83,23 +81,6 @@ class TruncMatrix:
             for c in range(self.dim):
                 row[c] = a[c] + b[c]
         return out
-
-    def scale(self, c: Scalar) -> "TruncMatrix":
-        c = exact(c)
-        out = TruncMatrix(self.size, self.rank)
-        for r in range(self.dim):
-            out.entries[r] = [c * v for v in self.entries[r]]
-        return out
-
-    def __rmul__(self, c: Scalar) -> "TruncMatrix":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __sub__(self, other: "TruncMatrix") -> "TruncMatrix":
-        if not isinstance(other, TruncMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
 
     def __matmul__(self, other: "TruncMatrix") -> "TruncMatrix":
         if not isinstance(other, TruncMatrix):
@@ -166,17 +147,6 @@ def to_matrix_monomial(a: Element1, N: int) -> TruncMatrix:
         for s, v in enumerate(row):
             if v:
                 row[s] = Fraction(v * fact[s], fact[r])
-    return mat
-
-
-def elementary_matrix(i: int, j: int, N: int) -> TruncMatrix:
-    """The matrix unit E(i,j) truncated to N x N; zero when i or j is >= N."""
-    i, j = _index(i, "i"), _index(j, "j")
-    if i < 0 or j < 0:
-        raise ValueError(f"matrix unit indices must be nonnegative, got ({i},{j})")
-    mat = TruncMatrix(N)
-    if i < N and j < N:
-        mat.entries[i][j] = 1
     return mat
 
 
@@ -280,7 +250,7 @@ class RowReducer:
         pivots = self._pivots
         try:
             r = dict(row)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise TypeError(
                 f"row must be a mapping or (key, value) pairs, got {type(row).__name__} ({exc})"
             ) from None

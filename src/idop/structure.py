@@ -116,22 +116,6 @@ def socle_level(a: ElementN) -> int:
     return max(labels.count("L") for labels in comps)
 
 
-def kernel_witness_check(i: int, j: int, k: int, jprime: int) -> Tuple[bool, bool]:
-    """Right multiplication of e(i,j)(x)e(k,*) by H_1 - H_2 in rank 2:
-    the first flag is whether e(i,j)(x)e(k,j) annihilates it, the second whether
-    e(i,j)(x)e(k,j') does not (expected for j != j')."""
-    h_diff = ElementN(
-        2,
-        {
-            (("v", 0, 1), ("v", 0, 0)): 1,
-            (("v", 0, 0), ("v", 0, 1)): -1,
-        },
-    )
-    same = ElementN(2, {(("e", i, j), ("e", k, j)): 1})
-    other = ElementN(2, {(("e", i, j), ("e", k, jprime)): 1})
-    return ((same * h_diff).is_zero(), not (other * h_diff).is_zero())
-
-
 Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 
 # The filtration's columns: ("e", s, t) is e(s,t) and ("v", i, t) is v_i P_{i,t}(H),

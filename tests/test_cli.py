@@ -409,6 +409,11 @@ class TestVerify:
         assert code == 0
         assert out == (DATA / "verify_all.golden.txt").read_text()
 
+    def test_all_suites_match_golden_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+        assert code == 0
+        assert out == (DATA / "verify_all.golden.json").read_text()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_socle_with_few_samples(self, capsys, seed):
         # zero Weyl products are redrawn, so a small sample cannot fail by chance
@@ -443,6 +448,30 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: unrecognized arguments: " + flag) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm", "x", "--n", "\u0662"], "--n: expected a positive integer, got '\u0662'"),
+            (
+                ["matrix", "x", "--size", "\u0663"],
+                "--size: expected a positive integer, got '\u0663'",
+            ),
+            (["dims", "--gen", "1", "--max", "1_0"], "--max: expected an integer, got '1_0'"),
+            (["verify", "--samples", " +1"], "--samples: expected a positive integer, got ' +1'"),
+            (["verify", "--seed", "-0_0"], "--seed: expected an integer, got '-0_0'"),
+            (
+                ["dims", "--gen", "1", "--max", "9" * 5000],
+                "--max: expected an integer, got '" + "9" * 5000 + "'",
+            ),
+        ],
+        ids=["n-digit", "size-digit", "max-underscore", "samples-plus", "seed-underscore", "max-long"],
+    )
+    def test_integer_options_take_ascii_digits(self, capsys, argv, message):
+        # int() would accept the first five, and raises ValueError on the last
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {message}\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -16,7 +16,6 @@ from idop.element import Element1, from_atoms
 from idop.expr import element1_to_json
 from idop.oracle import (
     RowReducer,
-    TruncMatrix,
     consistent,
     to_matrix,
     to_matrix_n,
@@ -146,8 +145,6 @@ class TestFloatsRejected:
             lambda: ElementN.one(2).scale(0.5),
             lambda: BnElement.one(1).scale(0.5),
             lambda: BnElement(1, {((0, 0),): 0.5}),
-            lambda: 0.5 * TruncMatrix(1),
-            lambda: TruncMatrix(1).scale(0.5),
             lambda: RowReducer().add({0: 1, 1: 0.5}),
             lambda: apply_n(Element1.one(), {(0,): 0.5}),
             lambda: apply_n(ElementN.one(2), {(0, 0): 0.5}),

@@ -6,7 +6,7 @@ import pytest
 
 from idop.element import Element1, from_atoms
 from idop.expr import parse_element, parse_element_list, parse_poly
-from idop.oracle import RowReducer, TruncMatrix, consistent, elementary_matrix
+from idop.oracle import RowReducer, TruncMatrix, consistent
 from idop.structure import (
     bimodule_filtration_dims,
     in_a_span,
@@ -80,12 +80,6 @@ X2 = lift(1, X, 2)
             "dims must be a sequence of integers, got NoneType None",
         ),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
-        (lambda: elementary_matrix(0, 1.5, 3), TypeError, "j must be an integer, got float 1.5"),
-        (
-            lambda: elementary_matrix(-1, 0, 3),
-            ValueError,
-            "matrix unit indices must be nonnegative, got (-1,0)",
-        ),
         # text: expr._tokenize
         (lambda: parse_element(5), TypeError, "text must be a string, got int 5"),
         (lambda: parse_poly(None), TypeError, "text must be a string, got NoneType None"),
@@ -95,6 +89,18 @@ X2 = lift(1, X, 2)
             lambda: RowReducer().add(5),
             TypeError,
             "row must be a mapping or (key, value) pairs, got int ('int' object is not iterable)",
+        ),
+        (
+            lambda: RowReducer().add([(1,)]),
+            TypeError,
+            "row must be a mapping or (key, value) pairs, got list "
+            "(dictionary update sequence element #0 has length 1; 2 is required)",
+        ),
+        (
+            lambda: RowReducer().add("ab"),
+            TypeError,
+            "row must be a mapping or (key, value) pairs, got str "
+            "(dictionary update sequence element #0 has length 1; 2 is required)",
         ),
         (
             lambda: RowReducer().add({0: 1, "a": 1}),
@@ -107,16 +113,11 @@ X2 = lift(1, X, 2)
             TypeError,
             "k must be a hashable row key, got list [0]",
         ),
-        # matrices: a non-matrix operand is NotImplemented
+        # matrices: a non-matrix operand of + or @ is NotImplemented
         (
             lambda: TruncMatrix(2) + 5,
             TypeError,
             "unsupported operand type(s) for +: 'TruncMatrix' and 'int'",
-        ),
-        (
-            lambda: TruncMatrix(2) - 5,
-            TypeError,
-            "unsupported operand type(s) for -: 'TruncMatrix' and 'int'",
         ),
         (
             lambda: TruncMatrix(2) @ 5,

@@ -25,13 +25,12 @@ from idop.structure import (
     in_a_span,
     in_f_span,
     in_l_span,
-    kernel_witness_check,
     multiplicity_report,
     socle_level,
     split,
 )
 from idop.tensor import ElementN, lift
-from idop.verify import FILTRATION_DIMS_ONE_I
+from idop.verify import FILTRATION_DIMS_ONE_I, kernel_suite
 from conftest import coefficients, elements1, nonzero_elements1
 
 D = Element1.from_generator("d")
@@ -150,19 +149,20 @@ class TestCensus:
 
 
 class TestKernelWitness:
-    def test_base_case(self):
-        assert kernel_witness_check(0, 0, 0, 1) == (True, True)
-
     def test_mismatched_column(self):
         h_diff = lift(1, H, 2) - lift(2, H, 2)
         e = ElementN(2, {(("e", 0, 0), ("e", 0, 1)): 1})
         assert e * h_diff == -e
 
-    def test_small_grid(self):
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    assert kernel_witness_check(i, j, k, j)[0]
+    @pytest.mark.parametrize(
+        "zero, verdicts", [(False, [False, True]), (True, [True, False])], ids=["never", "always"]
+    )
+    def test_verify_lines_can_fail(self, monkeypatch, zero, verdicts):
+        # The kills and survives lines of `idop verify`: a product that is never
+        # zero fails the first, and one that is always zero fails the second.
+        monkeypatch.setattr(ElementN, "is_zero", lambda self: zero)
+        kills, survives = kernel_suite(samples=1)[:2]
+        assert [kills.ok, survives.ok] == verdicts
 
 
 def brute_filtration_dims(generators, i_max):
