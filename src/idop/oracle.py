@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import Mapping, Optional, Tuple
+from typing import Hashable, Mapping, Optional, Tuple, Union
 
 from .element import Atom, Element1, _index, atom_grade
 from .hpoly import exact
@@ -217,12 +217,14 @@ class RowReducer:
     one-entry row, and else takes add's path.  Stored rows are not reduced
     against each other below their leading keys: the echelon form is enough
     for the rank, and every intermediate value stays an exact integer.
-    Insertion order does not affect the final rank.  add and add_unit return
-    the row they stored, so that a caller can build on the reduced row rather
-    than on its input (the filtration extends it); the row stays the
-    reducer's, and callers must not mutate it.  add never mutates the row it
-    is given and never stores that object, so a caller may pass a row it
-    shares (the filtration passes its memo rows).
+    Insertion order does not affect the final rank.  add returns the row it
+    stored, so that a caller can build on the reduced row rather than on its
+    input (the filtration extends it); the row stays the reducer's, and
+    callers must not mutate it.  add_unit returns add's result too, except
+    that the row {k: 1} it stores at once is returned as k itself, which a
+    caller can hold and move by its column (the filtration does).  add never
+    mutates the row it is given and never stores that object, so a caller
+    may pass a row it shares (the filtration passes its memo rows).
     """
 
     __slots__ = ("_pivots",)
@@ -282,21 +284,25 @@ class RowReducer:
                     r.pop(k, None)
         return None
 
-    def add_unit(self, k) -> Optional[dict]:
-        """add({k: 1}), the unit row at key k: the same stored row or None.
+    def add_unit(self, k: Hashable) -> Union[dict, Hashable, None]:
+        """add({k: 1}), the unit row at key k, with the row {k: 1} returned as k.
 
-        {k: 1} is stored at once when k leads no stored row and dropped when
-        k leads a one-entry row; only a k that leads a row with several
-        entries is handed to add.  An unhashable k raises a one-line
-        TypeError."""
+        When k leads no stored row, {k: 1} is stored at once and k itself is
+        returned.  When k leads a one-entry row, the unit row is dependent
+        and None is returned.  Only a k that leads a row with several entries
+        is handed to add, and add's result is returned: the stored row or
+        None.  So k must not be None, which raises a one-line TypeError, as
+        does an unhashable k."""
+        if k is None:
+            raise TypeError("k must not be None: add_unit returns None for a dependent row")
         pivots = self._pivots
         try:
             prow = pivots.get(k)
         except TypeError:
             raise TypeError(f"k must be a hashable row key, got {type(k).__name__} {k!r}") from None
         if prow is None:
-            r = pivots[k] = {k: 1}
-            return r
+            pivots[k] = {k: 1}
+            return k
         return None if len(prow) == 1 else self.add({k: 1})
 
 

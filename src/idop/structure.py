@@ -17,7 +17,7 @@ factors) and the census of realized label tuples.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import hpoly
 from .hpoly import Scalar
@@ -123,12 +123,16 @@ Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 # A column's id is -(2 pi(t, z) + [tag == "e"]), z = 2i for i >= 0 and -2i-1 for
 # i < 0, pi(t, z) = (t+z)(t+z+1)/2 + z the Cantor pairing; _atom inverts it.  So
 # RowReducer's pivot, a row's smallest id, is a column with the largest t + z.
-# _MOVE_TABLES[m] memoizes move m on a column as its image row, built once and
-# never mutated, so that the level loop hands it to the reducer itself; a call
-# clears this pure memo first once _MOVE_TABLES[0] holds COLUMN_CAP columns.
+# Two memos of move m on a column, each filled where it is read and never
+# mutated: _MOVE_TABLES[m] holds the exact image row, which _move sums, and
+# _UNIT_TABLES[m] the image that the level loop moves a unit row to, as _held
+# holds it: the column id itself when the image has one column (its
+# coefficient dropped), else the row, handed to the reducer itself.  A call
+# clears every memo first once one of them holds COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
 _MOVE_TABLES: Tuple[dict[int, Row], ...] = ({}, {}, {}, {})
+_UNIT_TABLES: Tuple[dict[int, Union[int, Row]], ...] = ({}, {}, {}, {})
 
 
 def _column(atom: Atom) -> int:
@@ -159,8 +163,14 @@ def _row(g: ElementN) -> Row:
     return {col: c for col, c in out.items() if c}
 
 
+def _held(row: Row) -> Union[int, Row]:
+    """A row as the level loop holds it and its unit memo keeps it: its column
+    id when it has one entry, with the coefficient dropped, and else itself."""
+    return next(iter(row)) if len(row) == 1 else row
+
+
 def _move_terms(m: int, column: int) -> Row:
-    """Fill the memo of move m on a column with its image row."""
+    """The image row of move m on a column, from its closed form."""
     tag, i, t = _atom(column)
     if tag == "v":
         terms = (
@@ -174,8 +184,7 @@ def _move_terms(m: int, column: int) -> Row:
             (("e", i + 1, t), i + 1), (("e", i - 1, t), 1 if i else 0),
             (("e", i, t + 1), 1), (("e", i, t - 1), t),
         ][m : m + 1]
-    _MOVE_TABLES[m][column] = image = {_column(b): p for b, p in terms if p}
-    return image
+    return {_column(b): p for b, p in terms if p}
 
 
 def _move(row: Row, m: int) -> Row:
@@ -187,7 +196,7 @@ def _move(row: Row, m: int) -> Row:
     for a, c in row.items():
         image = table.get(a)
         if image is None:
-            image = _move_terms(m, a)
+            image = table[a] = _move_terms(m, a)
         for b, p in image.items():
             out[b] = get(b, 0) + c * p
     return {b: v for b, v in out.items() if v} if 0 in out.values() else out
@@ -207,9 +216,10 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
     that keep a word x^a d^b g x^c d^e normal.  The moves are numbered
     0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged with the
     move that made it (generators with 3) and is extended only by moves <= its
-    tag.  A kept element is the row that the RowReducer stored for it, not
-    the candidate row it was handed, so its extensions do not bring back the
-    pivots already cleared from it.
+    tag.  A kept element is the row that the RowReducer stored for it, or
+    that row's column when it has one entry, not the candidate row it was
+    handed, so its extensions do not bring back the pivots already cleared
+    from it.
 
     Within a level the moves run in the order 0, 1, 2, 3 over all kept
     elements, so that the elements allowing the fewest extensions are kept
@@ -257,15 +267,17 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
 
     For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
     then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
-    move's memo table holds each column's image row.  Almost every kept row
-    is one entry +1 or -1, the unit row e_a up to sign, and the loop moves
-    the column a itself: an image with one entry p e_b is added as e_b by
-    RowReducer.add_unit, and any other image is handed to RowReducer.add as
-    the memo row itself, without a copy (add never mutates or stores its
-    argument).  A kept row with several entries is summed over the memo rows
-    of its columns by _move.  Dropping the signs and the scale p changes no
-    decision, so the rows added stay the same; a stored unit row may differ
-    in sign.
+    move's memos hold each column's image.  Almost every kept row is one
+    entry +1 or -1, the unit row e_a up to sign, and the loop holds it as the
+    bare column a and moves that column: an image with one entry p e_b is
+    memoized as the column b and added as e_b by RowReducer.add_unit, which
+    returns b itself when it stores {b: 1} on a fresh pivot.  Any other image
+    is handed to RowReducer.add as the memo row itself, without a copy (add
+    never mutates or stores its argument).  A stored row with several entries
+    is kept as that row and summed over the exact memo rows of its columns
+    by _move; a one-entry row that add stores is kept as its column.
+    Dropping the signs and the scale p changes no decision, so the rows added
+    stay the same, in the same order; a stored unit row may differ in sign.
     A row's pivot in the RowReducer is a column with the largest t + z (see
     _column), whatever ran before, and calls may run concurrently.
     """
@@ -283,34 +295,30 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
         raise ValueError(
             f"i_max={i_max} exceeds the desk-scale budget ({MAX_FILTRATION_INDEX})"
         )
-    if len(_MOVE_TABLES[0]) >= COLUMN_CAP:
-        for table in _MOVE_TABLES:
+    memos = _MOVE_TABLES + _UNIT_TABLES
+    if max(map(len, memos)) >= COLUMN_CAP:
+        for table in memos:
             table.clear()
     red = RowReducer()
     add, add_unit = red.add, red.add_unit
-    groups = ([], [], [], [row for g in generators if (row := add(_row(g)))])
+    groups = ([], [], [], [_held(row) for g in generators if (row := add(_row(g)))])
     dims = [red.rank]
     for _ in range(i_max):
         fresh = ([], [], [], [])
         for m in range(4):
             keep = fresh[m].append
-            table = _MOVE_TABLES[m]
+            units = _UNIT_TABLES[m]
             for group in groups[m:]:
                 for k in group:
-                    if len(k) == 1:  # a unit row, up to sign: move its column
-                        [a] = k
-                        image = table.get(a)
+                    if type(k) is not dict:  # a unit row, up to sign, held as its column
+                        image = units.get(k)
                         if image is None:
-                            image = _move_terms(m, a)
-                        if len(image) == 1:
-                            [b] = image
-                            row = add_unit(b)
-                        else:
-                            row = add(image)
+                            image = units[k] = _held(_move_terms(m, k))
+                        row = add_unit(image) if type(image) is not dict else add(image)
                     else:
                         row = add(_move(k, m))
-                    if row:
-                        keep(row)
+                    if row is not None:  # not a truth test: column 0 is kept too
+                        keep(row if type(row) is not dict or len(row) > 1 else _held(row))
         groups = fresh
         dims.append(red.rank)
     return dims

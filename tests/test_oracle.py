@@ -424,15 +424,18 @@ class TestExactRank:
     @example([{0: 2, 1: 3}, {1: 4}], 0)  # and {k: 1} is then dependent
     @settings(max_examples=150, deadline=None)
     def test_add_unit_is_add_of_the_unit_row(self, rows, k):
-        # add_unit(k) and add({k: 1}) store equal rows or both return None, and
-        # leave equal reducers behind
+        # add_unit(k) returns k exactly when add({k: 1}) stores and returns
+        # {k: 1}, and otherwise the same stored row as add or None; both leave
+        # equal reducers behind
         unit, plain = RowReducer(), RowReducer()
         for row in rows:
             unit.add(row)
             plain.add(row)
-        stored = unit.add_unit(k)
-        assert stored == plain.add({k: 1})
-        assert stored is None or stored is unit._pivots[min(stored)]
+        kept, stored = unit.add_unit(k), plain.add({k: 1})
+        if stored == {k: 1}:
+            assert kept is k and unit._pivots[k] == {k: 1}
+        else:
+            assert kept == stored and (kept is None or kept is unit._pivots[min(kept)])
         assert unit._pivots == plain._pivots and unit.rank == plain.rank
 
     @given(atom_rows())

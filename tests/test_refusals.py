@@ -113,6 +113,11 @@ X2 = lift(1, X, 2)
             TypeError,
             "k must be a hashable row key, got list [0]",
         ),
+        (
+            lambda: RowReducer().add_unit(None),
+            TypeError,
+            "k must not be None: add_unit returns None for a dependent row",
+        ),
         # matrices: a non-matrix operand of + or @ is NotImplemented
         (
             lambda: TruncMatrix(2) + 5,

@@ -187,7 +187,7 @@ def brute_filtration_dims(generators, i_max):
 
 
 def clear_move_tables():
-    for table in structure._MOVE_TABLES:
+    for table in structure._MOVE_TABLES + structure._UNIT_TABLES:
         table.clear()
 
 
@@ -195,8 +195,9 @@ def record_rows_added(monkeypatch, record):
     """Call record(reducer, stored, handed_on) once for each row handed to a
     RowReducer: once per add or add_unit call, where the add that add_unit
     makes for a key that leads a row with several entries counts with its
-    add_unit call.  handed_on tells that add_unit made that add call, which
-    looks the key up a second time."""
+    add_unit call.  stored is the row stored, or None: when add_unit returns
+    its key k, the reducer's row {k: 1}.  handed_on tells that add_unit made
+    that add call, which looks the key up a second time."""
     add, add_unit = RowReducer.add, RowReducer.add_unit
     in_unit = handed_on = False
 
@@ -213,11 +214,16 @@ def record_rows_added(monkeypatch, record):
         nonlocal in_unit, handed_on
         in_unit, handed_on = True, False
         try:
-            stored = add_unit(self, k)
+            kept = add_unit(self, k)
         finally:
             in_unit = False
+        stored = kept
+        if type(kept) is not dict and kept is not None:  # {k: 1} stored on a fresh pivot
+            assert kept is k and not handed_on
+            stored = self._pivots[k]
+            assert stored == {k: 1}
         record(self, stored, handed_on)
-        return stored
+        return kept
 
     monkeypatch.setattr(RowReducer, "add", recording_add)
     monkeypatch.setattr(RowReducer, "add_unit", recording_add_unit)
@@ -277,11 +283,11 @@ class TestFiltrationDims:
     def test_moves_extend_stored_rows(self, monkeypatch):
         # every kept element is extended from the row its reducer stored, not
         # from the row it was handed: a row with several entries is handed to
-        # _move itself, and a unit row is moved by its column, which leads a
-        # stored one-entry row
+        # _move itself, and a row with one entry is held as its bare column,
+        # which leads a stored one-entry row and is moved through the unit memo;
+        # no kept dict has one entry
         move = structure._move
         reducers, added, moved, units = [], 0, 0, 0
-        in_move = False
 
         def recording(red, stored, handed_on):
             nonlocal added
@@ -292,26 +298,21 @@ class TestFiltrationDims:
         class CheckedTable(dict):
             def get(self, a, default=None):
                 nonlocal units
-                if not in_move:
-                    units += 1
-                    (red,) = reducers
-                    assert len(red._pivots[a]) == 1
+                units += 1
+                (red,) = reducers
+                assert type(a) is int and red._pivots[a] in ({a: 1}, {a: -1})
                 return super().get(a, default)
 
         def checked_move(row, m):
-            nonlocal moved, in_move
+            nonlocal moved
             moved += 1
             (red,) = reducers
-            assert len(row) > 1 and red._pivots.get(min(row)) is row
-            in_move = True
-            try:
-                return move(row, m)
-            finally:
-                in_move = False
+            assert type(row) is dict and len(row) > 1 and red._pivots.get(min(row)) is row
+            return move(row, m)
 
         record_rows_added(monkeypatch, recording)
         monkeypatch.setattr(structure, "_move", checked_move)
-        monkeypatch.setattr(structure, "_MOVE_TABLES", tuple(CheckedTable() for _ in range(4)))
+        monkeypatch.setattr(structure, "_UNIT_TABLES", tuple(CheckedTable() for _ in range(4)))
         for gens in (
             [Element1.one(), I],
             STORED_DIFFERS_BY_CONTENT,
@@ -344,15 +345,23 @@ class TestFiltrationDims:
 
     def test_unit_rows_reach_every_add_unit_outcome(self, monkeypatch):
         # the dims_mixed generators move unit rows onto columns that lead no
-        # stored row, a one-entry row and a row with several entries
+        # stored row, a one-entry row and a row with several entries; add_unit
+        # returns the column itself, None, and add's stored row or None
         add_unit = RowReducer.add_unit
         outcomes = {"fresh": 0, "one entry": 0, "several entries": 0}
 
         def recording_add_unit(self, k):
-            prow = self._pivots.get(k)
-            size = len(prow or ())
-            outcomes["fresh" if not size else "one entry" if size == 1 else "several entries"] += 1
-            return add_unit(self, k)
+            size = len(self._pivots.get(k) or ())
+            outcome = "fresh" if not size else "one entry" if size == 1 else "several entries"
+            outcomes[outcome] += 1
+            kept = add_unit(self, k)
+            if outcome == "fresh":
+                assert kept is k and self._pivots[k] == {k: 1}
+            elif outcome == "one entry":
+                assert kept is None
+            else:
+                assert kept is None or kept is self._pivots[min(kept)]
+            return kept
 
         monkeypatch.setattr(RowReducer, "add_unit", recording_add_unit)
         gens = [parse_element("x*d - 2*e(1,1)"), parse_element("I^2*H")]
@@ -410,7 +419,9 @@ class TestFiltrationDims:
     def test_memo_rows_are_shared_but_never_mutated_or_stored(self, monkeypatch):
         # the level loop hands the memo's image rows themselves to add, and
         # calls reuse them. add never mutates a row it is given and never
-        # stores one, so each memo row still equals its recomputation afterwards
+        # stores one, so each memo row still equals its recomputation afterwards,
+        # in the exact memo and in the unit memo, which holds a one-column image
+        # as that column
         stored = []
         record_rows_added(monkeypatch, lambda red, row, handed_on: stored.append(row))
         memo = []
@@ -418,11 +429,11 @@ class TestFiltrationDims:
         def run(gens, i_max):
             stored.clear()
             bimodule_filtration_dims(gens, i_max)
-            tables = enumerate(structure._MOVE_TABLES)
-            rows = [(m, a, image) for m, table in tables for a, image in table.items()]
-            memo_ids = {id(image) for _, _, image in rows}
+            for held, tables in ((False, structure._MOVE_TABLES), (True, structure._UNIT_TABLES)):
+                for m, table in enumerate(tables):
+                    memo.extend((held, m, a, image) for a, image in table.items())
+            memo_ids = {id(image) for *_, image in memo}
             assert not any(id(r) in memo_ids for r in stored)
-            memo.extend(rows)
 
         run([Element1.one(), I], 16)
         run([E00], 16)
@@ -430,14 +441,18 @@ class TestFiltrationDims:
         monkeypatch.setattr(structure, "COLUMN_CAP", 1)
         run([Element1.one(), I], 16)  # on a memo that the call cleared first
         clear_move_tables()
-        for m, a, image in memo:
-            assert structure._move_terms(m, a) == image
+        assert {held for held, *_ in memo} == {False, True}
+        assert any(type(image) is int for *_, image in memo)
+        for held, m, a, image in memo:
+            want = structure._move_terms(m, a)
+            assert image == (structure._held(want) if held else want)
         clear_move_tables()
 
     def test_column_registry_state_does_not_change_results(self, monkeypatch):
-        # column ids need no registry; the one state calls share is the memo of
-        # the moves. The same dimensions and rows added on an empty, a warm and
-        # a just-cleared memo, also for generators whose columns it has not seen
+        # column ids need no registry; the one state calls share is the memos of
+        # the moves. The same dimensions and rows added on empty, warm and
+        # just-cleared memos, on one memo cold while the other is warm, and for
+        # generators whose columns the memos have not seen
         calls = count_rows_added(monkeypatch)
         runs = [
             ([Element1.one(), I], 16),
@@ -460,8 +475,12 @@ class TestFiltrationDims:
         # warm, with the memo filled in orders that the fresh runs never saw
         assert results(-1) == fresh[::-1]
         assert results() == fresh
+        for memo in (structure._MOVE_TABLES, structure._UNIT_TABLES):
+            for table in memo:
+                table.clear()
+            assert results() == fresh
         monkeypatch.setattr(structure, "COLUMN_CAP", len(structure._MOVE_TABLES[0]))
-        assert results() == fresh  # the first call clears the memo
+        assert results() == fresh  # the first call clears every memo
 
     def test_concurrent_calls(self, monkeypatch):
         # calls share only the memo of the moves; a small cap makes the threads
@@ -521,18 +540,26 @@ class TestFiltrationDims:
                     assert sum(p * c for p, (_, c) in zip(falling, parts)) == h**t
 
     def test_cap_bounds_move_tables(self, monkeypatch):
-        # the memo may outgrow its cap within a call; the next call clears it
+        # the memos may outgrow their cap within a call; the next call clears
+        # every one of them, the exact and the unit memo of each move
+        memos = structure._MOVE_TABLES + structure._UNIT_TABLES
+        mixed = [parse_element("x*d - 2*e(1,1)"), parse_element("I^2*H")]
         monkeypatch.setattr(structure, "COLUMN_CAP", 4)
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
-        assert len(structure._MOVE_TABLES[0]) > 4
+        assert len(structure._UNIT_TABLES[0]) > 4
+        # the dims_mixed golden's first levels, on memos the call cleared first
+        assert bimodule_filtration_dims(mixed, 8) == [2, 10, 26, 46, 67, 90, 116, 145, 177]
+        assert len(structure._MOVE_TABLES[0]) > 4 and all(memos)
         assert bimodule_filtration_dims([E00], 0) == [1]
-        assert not any(structure._MOVE_TABLES)
+        assert not any(memos)
         assert bimodule_filtration_dims([Element1.one(), I], 8) == FILTRATION_DIMS_ONE_I[:9]
-        # below the cap the memo is kept across calls
+        # below the cap the memos are kept across calls
         monkeypatch.setattr(structure, "COLUMN_CAP", 10**6)
-        size = len(structure._MOVE_TABLES[0])
+        sizes = [len(table) for table in memos]
+        size = len(structure._UNIT_TABLES[0])
         assert bimodule_filtration_dims([e(12, 12)], 3) == brute_filtration_dims([e(12, 12)], 3)
-        assert len(structure._MOVE_TABLES[0]) > size > 4
+        assert all(len(table) >= n for table, n in zip(memos, sizes))
+        assert len(structure._UNIT_TABLES[0]) > size > 4
 
     def test_word_enumeration_uses_element1_products(self, monkeypatch):
         # the reference shares no atom products with the engine it checks: the
@@ -545,7 +572,8 @@ class TestFiltrationDims:
         with monkeypatch.context() as patch:
             patch.setattr(element, "atom_mul", unused)
             assert bimodule_filtration_dims([Element1.one(), I], 4) == FILTRATION_DIMS_ONE_I[:5]
-        assert any(structure._MOVE_TABLES)  # the moves ran on an empty memo
+        # the moves ran on empty memos
+        assert any(structure._MOVE_TABLES) and any(structure._UNIT_TABLES)
         products = 0
         mul = Element1.__mul__
 
