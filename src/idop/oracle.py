@@ -199,32 +199,34 @@ class RowReducer:
     """Incremental fraction-free row echelon form over the rationals.
 
     Each stored row is an integer vector with content 1, filed under its
-    leading (smallest) key, and no two stored rows share a leading key.  add
-    copies a new row once (any mapping, or anything dict() accepts), and the
-    same pass over its values accepts it when every value is a nonzero plain
-    int; only a row with a zero or another type (Fraction, bool, NumPy
-    integers, floats) goes through _integer_row, which clears denominators or
-    raises TypeError.  Then, while its leading key belongs to a stored row,
-    it is cross-multiplied against that one row by the two leading entries
-    divided by their gcd (never dividing a row); it is stripped of content
-    and stored once it leads with a fresh key, or dropped when it vanishes.
-    A row stored with one entry v becomes the sign of v, +1 or -1, with no
-    gcd taken.  Each intermediate row is a positive multiple of the one that
-    stripping after every step would give, so stripping once, at the end,
-    stores the same rows with the same signs.  add_unit(k) is add({k: 1})
-    for the filtration's common row, the unit vector at k: it stores {k: 1}
-    at once when k leads no stored row, drops the row when k leads a
-    one-entry row, and else takes add's path.  Stored rows are not reduced
-    against each other below their leading keys: the echelon form is enough
-    for the rank, and every intermediate value stays an exact integer.
-    Insertion order does not affect the final rank.  add returns the row it
-    stored, so that a caller can build on the reduced row rather than on its
-    input (the filtration extends it); the row stays the reducer's, and
-    callers must not mutate it.  add_unit returns add's result too, except
-    that the row {k: 1} it stores at once is returned as k itself, which a
-    caller can hold and move by its column (the filtration does).  add never
-    mutates the row it is given and never stores that object, so a caller
-    may pass a row it shares (the filtration passes its memo rows).
+    leading (smallest) key, and no two stored rows share a leading key.  A
+    row with one entry is stored as the marker 1 under its key k: it is the
+    unit row e_k, whatever the sign and size of its entry.  add copies a new
+    row once (any mapping, or anything dict() accepts), and the same pass
+    over its values accepts it when every value is a nonzero plain int; only
+    a row with a zero or another type (Fraction, bool, NumPy integers,
+    floats) goes through _integer_row, which clears denominators or raises
+    TypeError.  Then, while its leading key belongs to a stored row, it
+    loses that key when the row there is a marker, and is otherwise
+    cross-multiplied against that one row by the two leading entries divided
+    by their gcd (never dividing a row); it is stripped of content and
+    stored once it leads with a fresh key, or dropped when it vanishes.
+    Each intermediate row is a positive multiple of the one that stripping
+    after every step would give, so stripping once, at the end, stores the
+    same rows, and the same signs on rows with several entries.
+    add_unit(k) is add({k: 1}) for the filtration's common row, the unit
+    vector at k: it stores the marker at once when k leads no stored row,
+    drops the row when k leads a marker, and else takes add's path.  Stored
+    rows are not reduced against each other below their leading keys: the
+    echelon form is enough for the rank, and every intermediate value stays
+    an exact integer.  Insertion order does not affect the final rank.
+    Both return what they stored, so that a caller can build on the reduced
+    row rather than on its input (the filtration extends it): a row with
+    several entries as the reducer's own dict, which callers must not
+    mutate, and a marker as its key k, which a caller can hold and move by
+    its column (the filtration does).  _rows reads a marker as {k: 1}.  add
+    never mutates the row it is given and never stores that object, so a
+    caller may pass a row it shares (the filtration passes its memo rows).
     """
 
     __slots__ = ("_pivots",)
@@ -238,17 +240,21 @@ class RowReducer:
 
     @property
     def _rows(self):
-        """The stored rows, read-only; tracing reads their entry widths."""
-        return self._pivots.values()
+        """The stored rows, read-only, each marker as {k: 1}; tracing reads
+        their entry widths."""
+        return ({k: 1} if type(row) is int else row for k, row in self._pivots.items())
 
-    def add(self, row: Mapping) -> Optional[dict]:
+    def add(self, row: Mapping) -> Union[dict, Hashable, None]:
         """Reduce a sparse rational row and store it if it enlarged the row space.
 
-        Returns the stored row (the integer echelon row, never empty) or None
-        when the row is dependent.  The stored row stays the reducer's own:
-        callers may read and extend it but must not mutate it.  The argument
-        is never mutated and never stored itself.  A row that dict() cannot
-        read, or whose keys cannot be ordered, raises a one-line TypeError."""
+        Returns the stored row (the integer echelon row, with several
+        entries), its key k when it has one entry and is stored as the
+        marker for e_k, or None when the row is dependent.  The stored row
+        stays the reducer's own: callers may read and extend it but must not
+        mutate it.  The argument is never mutated and never stored itself.
+        A row that dict() cannot read, or whose keys cannot be ordered, and a
+        one-entry row stored under the key None, raise a one-line
+        TypeError."""
         pivots = self._pivots
         try:
             r = dict(row)
@@ -269,8 +275,16 @@ class RowReducer:
                 ) from None
             prow = pivots.get(pk)
             if prow is None:
-                r = pivots[pk] = {pk: 1 if r[pk] > 0 else -1} if len(r) == 1 else _strip_content(r)
-                return r
+                if len(r) > 1:
+                    r = pivots[pk] = _strip_content(r)
+                    return r
+                if pk is None:
+                    raise TypeError("row key must not be None: add returns None for a dependent row")
+                pivots[pk] = 1
+                return pk
+            if type(prow) is int:  # the marker: the stored row is e_pk
+                del r[pk]
+                continue
             c, p = r[pk], prow[pk]
             g = math.gcd(c, p) if p > 0 else -math.gcd(c, p)
             c, p = c // g, p // g  # p > 0, and on filtration rows almost always 1
@@ -285,14 +299,14 @@ class RowReducer:
         return None
 
     def add_unit(self, k: Hashable) -> Union[dict, Hashable, None]:
-        """add({k: 1}), the unit row at key k, with the row {k: 1} returned as k.
+        """add({k: 1}), the unit row at key k.
 
-        When k leads no stored row, {k: 1} is stored at once and k itself is
-        returned.  When k leads a one-entry row, the unit row is dependent
-        and None is returned.  Only a k that leads a row with several entries
-        is handed to add, and add's result is returned: the stored row or
-        None.  So k must not be None, which raises a one-line TypeError, as
-        does an unhashable k."""
+        When k leads no stored row, the marker is stored at once and k
+        itself is returned.  When k leads a marker, the unit row is
+        dependent and None is returned.  Only a k that leads a row with
+        several entries is handed to add, and add's result is returned.  So
+        k must not be None, which raises a one-line TypeError, as does an
+        unhashable k."""
         if k is None:
             raise TypeError("k must not be None: add_unit returns None for a dependent row")
         pivots = self._pivots
@@ -301,9 +315,9 @@ class RowReducer:
         except TypeError:
             raise TypeError(f"k must be a hashable row key, got {type(k).__name__} {k!r}") from None
         if prow is None:
-            pivots[k] = {k: 1}
+            pivots[k] = 1
             return k
-        return None if len(prow) == 1 else self.add({k: 1})
+        return None if type(prow) is int else self.add({k: 1})
 
 
 def _integer_row(row: Mapping) -> dict:

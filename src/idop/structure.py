@@ -125,10 +125,11 @@ Row = dict[int, Scalar]  # the support vector of an operator, over column ids
 # RowReducer's pivot, a row's smallest id, is a column with the largest t + z.
 # Two memos of move m on a column, each filled where it is read and never
 # mutated: _MOVE_TABLES[m] holds the exact image row, which _move sums, and
-# _UNIT_TABLES[m] the image that the level loop moves a unit row to, as _held
-# holds it: the column id itself when the image has one column (its
-# coefficient dropped), else the row, handed to the reducer itself.  A call
-# clears every memo first once one of them holds COLUMN_CAP columns.
+# _UNIT_TABLES[m] the image that the level loop moves a unit row to (a bare
+# column, under which the reducer holds a marker), as _held gives it: the
+# column id itself when the image has one column (its coefficient dropped),
+# for RowReducer.add_unit, else the row, handed to RowReducer.add itself.  A
+# call clears every memo first once one of them holds COLUMN_CAP columns.
 COLUMN_CAP = 16384
 
 _MOVE_TABLES: Tuple[dict[int, Row], ...] = ({}, {}, {}, {})
@@ -164,8 +165,8 @@ def _row(g: ElementN) -> Row:
 
 
 def _held(row: Row) -> Union[int, Row]:
-    """A row as the level loop holds it and its unit memo keeps it: its column
-    id when it has one entry, with the coefficient dropped, and else itself."""
+    """An image row as the unit memo keeps it: its column id when it has one
+    entry, with the coefficient dropped, and else itself."""
     return next(iter(row)) if len(row) == 1 else row
 
 
@@ -216,10 +217,10 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
     that keep a word x^a d^b g x^c d^e normal.  The moves are numbered
     0 = x k, 1 = d k, 2 = k d, 3 = k x; each kept element is tagged with the
     move that made it (generators with 3) and is extended only by moves <= its
-    tag.  A kept element is the row that the RowReducer stored for it, or
-    that row's column when it has one entry, not the candidate row it was
-    handed, so its extensions do not bring back the pivots already cleared
-    from it.
+    tag.  A kept element is what the RowReducer returned for it: the row it
+    stored, or the column of a one-entry row, which it stores as a marker;
+    not the candidate row it was handed, so its extensions do not bring back
+    the pivots already cleared from it.
 
     Within a level the moves run in the order 0, 1, 2, 3 over all kept
     elements, so that the elements allowing the fewest extensions are kept
@@ -267,21 +268,29 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
 
     For i > 0 the columns with t >= i span the A-part of grade i (P_{i,t} is
     then divisible by H(H+1)...(H+i-1)) and those with t < i the L-part.  Each
-    move's memos hold each column's image.  Almost every kept row is one
-    entry +1 or -1, the unit row e_a up to sign, and the loop holds it as the
-    bare column a and moves that column: an image with one entry p e_b is
-    memoized as the column b and added as e_b by RowReducer.add_unit, which
-    returns b itself when it stores {b: 1} on a fresh pivot.  Any other image
-    is handed to RowReducer.add as the memo row itself, without a copy (add
-    never mutates or stores its argument).  A stored row with several entries
-    is kept as that row and summed over the exact memo rows of its columns
-    by _move; a one-entry row that add stores is kept as its column.
-    Dropping the signs and the scale p changes no decision, so the rows added
-    stay the same, in the same order; a stored unit row may differ in sign.
+    move's memos hold each column's image.  Almost every kept row has one
+    entry, and the RowReducer stores it as a marker for the unit row e_a and
+    returns its column a, which the loop holds and moves: an image with one
+    entry p e_b is memoized as the column b and added as e_b by
+    RowReducer.add_unit, which returns b itself when it stores the marker on
+    a fresh pivot.  Any other image is handed to RowReducer.add as the memo
+    row itself, without a copy (add never mutates or stores its argument),
+    and add returns the row it stored, or the column of a one-entry row.  A
+    stored row with several entries is kept as that row and summed over the
+    exact memo rows of its columns by _move.  Dropping the signs and the
+    scale p changes no decision, so the rows added stay the same, in the
+    same order.
     A row's pivot in the RowReducer is a column with the largest t + z (see
     _column), whatever ran before, and calls may run concurrently.
     """
-    generators = tuple(generators)
+    try:
+        it = iter(generators)
+    except TypeError:
+        raise TypeError(
+            f"generators must be an iterable of operators, got {type(generators).__name__} "
+            f"{generators!r}"
+        ) from None
+    generators = tuple(it)
     if not generators:
         raise ValueError("at least one generator is required")
     for g in generators:
@@ -301,7 +310,7 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
             table.clear()
     red = RowReducer()
     add, add_unit = red.add, red.add_unit
-    groups = ([], [], [], [_held(row) for g in generators if (row := add(_row(g)))])
+    groups = ([], [], [], [row for g in generators if (row := add(_row(g))) is not None])
     dims = [red.rank]
     for _ in range(i_max):
         fresh = ([], [], [], [])
@@ -310,7 +319,7 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
             units = _UNIT_TABLES[m]
             for group in groups[m:]:
                 for k in group:
-                    if type(k) is not dict:  # a unit row, up to sign, held as its column
+                    if type(k) is not dict:  # a unit row, held as the column of its marker
                         image = units.get(k)
                         if image is None:
                             image = units[k] = _held(_move_terms(m, k))
@@ -318,7 +327,7 @@ def bimodule_filtration_dims(generators: Iterable[ElementN], i_max: int) -> list
                     else:
                         row = add(_move(k, m))
                     if row is not None:  # not a truth test: column 0 is kept too
-                        keep(row if type(row) is not dict or len(row) > 1 else _held(row))
+                        keep(row)
         groups = fresh
         dims.append(red.rank)
     return dims

@@ -74,15 +74,31 @@ def sparse_rows(draw, keys):
     return [{k: f * v for k, v in row.items()} for f, row in zip(factors, rows)]
 
 
-def step_strip_pivots(rows) -> tuple[dict, list[bool]]:
-    """The stored rows and verdicts of an echelon reducer that strips the content
-    after every elimination step, and cancels with p * r - c * prow (made positive)."""
+@st.composite
+def reducer_calls(draw, keys):
+    """Sparse rows for RowReducer.add, some with plain int values, and keys
+    for add_unit among them, some of them keys of the rows."""
+    calls = [
+        {k: int(v) if v.denominator == 1 and draw(st.booleans()) else v for k, v in row.items()}
+        for row in draw(sparse_rows(keys))
+    ]
+    seen = sorted({k for row in calls for k in row})
+    units = st.one_of(keys, st.sampled_from(seen)) if seen else keys
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        calls.insert(draw(st.integers(min_value=0, max_value=len(calls))), draw(units))
+    return calls
+
+
+def step_strip_pivots(rows) -> tuple[dict, list]:
+    """The stored rows of an echelon reducer that strips the content after
+    every elimination step, and cancels with p * r - c * prow (made positive),
+    and for each row the row it stored, or None."""
 
     def primitive(row):
         g = math.gcd(*row.values())
         return {k: v // g for k, v in row.items()}
 
-    pivots, kept = {}, []
+    pivots, stored = {}, []
     for row in rows:
         vals = {k: Fraction(v) for k, v in row.items() if v}
         denom = math.lcm(*(v.denominator for v in vals.values()))
@@ -98,8 +114,8 @@ def step_strip_pivots(rows) -> tuple[dict, list[bool]]:
             r = {k: sign * (p * r.get(k, 0) - c * prow.get(k, 0)) for k in r.keys() | prow.keys()}
             r = {k: v for k, v in r.items() if v}
             r = primitive(r) if r else r
-        kept.append(bool(r))
-    return pivots, kept
+        stored.append(r or None)
+    return pivots, stored
 
 
 class TestToMatrix:
@@ -335,23 +351,26 @@ class TestExactRank:
     def test_rows_that_are_not_plain_nonzero_ints(self, row):
         # a zero or a value that is not a plain int fails add's one-pass check
         # and is stored as _integer_row and content stripping make it
-        stored = RowReducer().add(row)
-        assert stored == oracle._strip_content(oracle._integer_row(row))
-        assert all(type(v) is int for v in stored.values())
+        red = RowReducer()
+        stored = red.add(row)
+        want = oracle._strip_content(oracle._integer_row(row))
+        assert list(red._rows) == [want]
+        assert stored == (min(want) if len(want) == 1 else want)
+        assert all(type(v) is int for v in want.values())
 
     @pytest.mark.parametrize(
         "row",
-        [[(0, -3)], MappingProxyType({0: -3}), iter([(0, -3)])],
+        [[(0, -3), (1, 6)], MappingProxyType({0: -3, 1: 6}), iter([(0, -3), (1, 6)])],
         ids=lambda row: type(row).__name__,
     )
     def test_rows_that_are_not_dicts(self, row):
         # any row that is not a dict is read as dict(row) reads it
-        assert RowReducer().add(row) == {0: -1}
+        assert RowReducer().add(row) == {0: -1, 1: 2}
 
     def test_an_iterator_row_is_read_once(self):
         # a row that needs _integer_row is cleared from add's copy, not read again
-        assert RowReducer().add(iter([(0, Fraction(-3, 2))])) == {0: -1}
-        assert RowReducer().add(iter([(0, -3), (1, 0)])) == {0: -1}
+        assert RowReducer().add(iter([(0, Fraction(-3, 2)), (1, 3)])) == {0: -1, 1: 2}
+        assert RowReducer().add(iter([(0, -3), (1, 0), (2, 6)])) == {0: -1, 2: 2}
 
     def test_numpy_integers_are_stored_as_int(self):
         np = pytest.importorskip("numpy")
@@ -364,11 +383,19 @@ class TestExactRank:
         with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got float 0.5$"):
             RowReducer().add({0: 0.5})
 
-    def test_one_entry_row_is_stored_as_its_sign(self):
+    def test_one_entry_row_is_stored_as_a_marker(self):
+        # a one-entry row, whatever its entry, is stored as the marker 1 for
+        # the unit row at its key, and add returns that key
         red = RowReducer()
-        assert red.add({5: -6}) == {5: -1}
-        assert red.add({3: 7}) == {3: 1}
-        assert red.add({1: Fraction(-2, 3)}) == {1: -1}
+        assert red.add({5: -6}) == 5
+        assert red.add({3: 7}) == 3
+        assert red.add({1: Fraction(-2, 3)}) == 1
+        assert red._pivots == {5: 1, 3: 1, 1: 1}
+        assert list(red._rows) == [{5: 1}, {3: 1}, {1: 1}]
+        # a row leading a marker loses that key, with no cross-multiplication
+        assert red.add({1: 4, 7: 6}) == 7
+        assert red.add({3: 2, 5: -9}) is None
+        assert red.rank == 4
 
     def test_cross_check_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -398,44 +425,64 @@ class TestExactRank:
             want = sympy.Matrix(len(rows), len(keys), entries).rank()
         assert exact_rank(rows) == want
 
-    @given(st.one_of(sparse_rows(st.integers(min_value=-6, max_value=6)), sparse_rows(atoms)))
+    @given(st.one_of(reducer_calls(st.integers(min_value=-6, max_value=6)), reducer_calls(atoms)))
     @example([{("v", 0, 0): 1}, {("v", 0, 0): 1, ("v", 0, 1): 2}])
     @example([{0: 2, 1: 3}, {0: -4, 1: 1, 2: 6}, {0: 6, 1: 5, 2: 6}])
     # one-entry rows on fresh keys, where only the plain int passes add's value check
     @example([{0: -3}, {1: True}, {2: Fraction(4, 2)}, {3: 0}])
     # and on a key that is already a pivot, where every row is eliminated
     @example([{0: 2, 1: 3}, {0: -3}, {0: True}, {0: Fraction(4, 2)}, {0: 0}])
+    # unit keys leading a row with several entries (storing a marker, then
+    # dependent), a fresh key, and a marker
+    @example([{0: 2, 1: 3}, 0, 0, {0: -3, 2: 1}, 5, 5])
     @settings(max_examples=150, deadline=None)
-    def test_stored_rows_match_step_strip_reference(self, rows):
-        # stripping content only when a row is stored leaves every stored row,
-        # its sign and every verdict as stripping after each step does
+    def test_stored_rows_match_step_strip_reference(self, calls):
+        # stripping content only when a row is stored leaves every stored row
+        # with several entries, its sign and every verdict as stripping after
+        # each step does; a one-entry row is stored as the marker for the unit
+        # row at its key k, whatever its sign, and add and add_unit return k
+        # exactly when the reference stores a one-entry row at k. Neither
+        # mutates or stores its argument.
+        copies = [dict(call) if type(call) is dict else call for call in calls]
         red = RowReducer()
-        kept = []
-        for row in rows:
-            stored = red.add(row)
-            assert stored is None or stored is red._pivots[min(stored)]
-            kept.append(bool(stored))
-        assert (red._pivots, kept) == step_strip_pivots(rows)
+        results = [red.add(call) if type(call) is dict else red.add_unit(call) for call in calls]
+        pivots, stored = step_strip_pivots(
+            [call if type(call) is dict else {call: 1} for call in calls]
+        )
+        for result, want in zip(results, stored):
+            if want is None:
+                assert result is None
+            elif len(want) == 1:
+                assert type(result) is not dict and result == min(want)
+            else:
+                assert result == want and result is red._pivots[min(result)]
+        assert list(red._rows) == [row if len(row) > 1 else {k: 1} for k, row in pivots.items()]
+        for (k, prow), row in zip(red._pivots.items(), red._rows):
+            assert (prow == 1 and row == {k: 1}) if len(row) == 1 else prow is row
+        assert calls == copies
+        rows = [row for row in calls if type(row) is dict]
+        assert not {id(prow) for prow in red._pivots.values()} & {id(row) for row in rows}
 
     @given(sparse_rows(st.integers(min_value=-6, max_value=6)), st.integers(-7, 7))
     @example([{0: 2, 1: 3}], 5)  # k leads no stored row
-    @example([{0: -3}], 0)  # k leads a one-entry row
+    @example([{0: -3}], 0)  # k leads a marker
     @example([{0: 2, 1: 3}, {1: 4, 2: -6}], 0)  # k leads a row with several entries
     @example([{0: 2, 1: 3}, {1: 4}], 0)  # and {k: 1} is then dependent
     @settings(max_examples=150, deadline=None)
     def test_add_unit_is_add_of_the_unit_row(self, rows, k):
-        # add_unit(k) returns k exactly when add({k: 1}) stores and returns
-        # {k: 1}, and otherwise the same stored row as add or None; both leave
-        # equal reducers behind
+        # add_unit(k) returns what add({k: 1}) returns, k itself when k leads
+        # no stored row, and both leave equal reducers behind
         unit, plain = RowReducer(), RowReducer()
         for row in rows:
             unit.add(row)
             plain.add(row)
+        fresh = k not in unit._pivots
         kept, stored = unit.add_unit(k), plain.add({k: 1})
-        if stored == {k: 1}:
-            assert kept is k and unit._pivots[k] == {k: 1}
-        else:
-            assert kept == stored and (kept is None or kept is unit._pivots[min(kept)])
+        assert kept == stored
+        if fresh:
+            assert kept is k and unit._pivots[k] == 1
+        elif type(kept) is dict:
+            assert kept is unit._pivots[min(kept)]
         assert unit._pivots == plain._pivots and unit.rank == plain.rank
 
     @given(atom_rows())
@@ -445,7 +492,7 @@ class TestExactRank:
         red = RowReducer()
         for row in rows:
             red.add(row)
-        for lead, row in red._pivots.items():
+        for lead, row in zip(red._pivots, red._rows):
             assert all(type(v) is int for v in row.values())
             assert min(row) == lead
             assert math.gcd(*row.values()) == 1

@@ -57,11 +57,21 @@ X2 = lift(1, X, 2)
             "pairs must be (atom, coefficient) pairs, got list "
             "(not enough values to unpack (expected 2, got 1))",
         ),
-        # operands: check_operator
+        # operands: check_operator, inside an iterable of them
         (
             lambda: bimodule_filtration_dims([1], 4),
             TypeError,
             "generators must be an operator, got int 1",
+        ),
+        (
+            lambda: bimodule_filtration_dims(parse_element("1"), 2),
+            TypeError,
+            "generators must be an iterable of operators, got ElementN 1",
+        ),
+        (
+            lambda: bimodule_filtration_dims(5, 2),
+            TypeError,
+            "generators must be an iterable of operators, got int 5",
         ),
         # rank-1 operands: check_rank1
         (lambda: in_a_span(X2), ValueError, "expected rank 1, got rank 2"),
@@ -107,6 +117,11 @@ X2 = lift(1, X, 2)
             TypeError,
             "row keys must be comparable with each other and with stored keys "
             "('<' not supported between instances of 'str' and 'int')",
+        ),
+        (
+            lambda: RowReducer().add({None: 1}),
+            TypeError,
+            "row key must not be None: add returns None for a dependent row",
         ),
         (
             lambda: RowReducer().add_unit([0]),

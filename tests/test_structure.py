@@ -195,11 +195,18 @@ def record_rows_added(monkeypatch, record):
     """Call record(reducer, stored, handed_on) once for each row handed to a
     RowReducer: once per add or add_unit call, where the add that add_unit
     makes for a key that leads a row with several entries counts with its
-    add_unit call.  stored is the row stored, or None: when add_unit returns
-    its key k, the reducer's row {k: 1}.  handed_on tells that add_unit made
-    that add call, which looks the key up a second time."""
+    add_unit call.  stored is the row stored, as _rows reads it, or None:
+    when add or add_unit returns a key k, the reducer's marker for the unit
+    row, read as {k: 1}.  handed_on tells that add_unit made that add call,
+    which looks the key up a second time."""
     add, add_unit = RowReducer.add, RowReducer.add_unit
     in_unit = handed_on = False
+
+    def stored_row(red, result):
+        if result is None or type(result) is dict:
+            return result
+        assert red._pivots[result] == 1  # a marker, read as the unit row
+        return {result: 1}
 
     def recording_add(self, row):
         nonlocal handed_on
@@ -207,7 +214,7 @@ def record_rows_added(monkeypatch, record):
         if in_unit:
             handed_on = True  # recorded with its add_unit call
         else:
-            record(self, stored, False)
+            record(self, stored_row(self, stored), False)
         return stored
 
     def recording_add_unit(self, k):
@@ -217,12 +224,9 @@ def record_rows_added(monkeypatch, record):
             kept = add_unit(self, k)
         finally:
             in_unit = False
-        stored = kept
-        if type(kept) is not dict and kept is not None:  # {k: 1} stored on a fresh pivot
-            assert kept is k and not handed_on
-            stored = self._pivots[k]
-            assert stored == {k: 1}
-        record(self, stored, handed_on)
+        if kept is k:  # the marker stored on a fresh pivot
+            assert not handed_on
+        record(self, stored_row(self, kept), handed_on)
         return kept
 
     monkeypatch.setattr(RowReducer, "add", recording_add)
@@ -284,7 +288,7 @@ class TestFiltrationDims:
         # every kept element is extended from the row its reducer stored, not
         # from the row it was handed: a row with several entries is handed to
         # _move itself, and a row with one entry is held as its bare column,
-        # which leads a stored one-entry row and is moved through the unit memo;
+        # which leads a stored marker and is moved through the unit memo;
         # no kept dict has one entry
         move = structure._move
         reducers, added, moved, units = [], 0, 0, 0
@@ -300,7 +304,7 @@ class TestFiltrationDims:
                 nonlocal units
                 units += 1
                 (red,) = reducers
-                assert type(a) is int and red._pivots[a] in ({a: 1}, {a: -1})
+                assert type(a) is int and red._pivots[a] == 1
                 return super().get(a, default)
 
         def checked_move(row, m):
@@ -345,22 +349,25 @@ class TestFiltrationDims:
 
     def test_unit_rows_reach_every_add_unit_outcome(self, monkeypatch):
         # the dims_mixed generators move unit rows onto columns that lead no
-        # stored row, a one-entry row and a row with several entries; add_unit
-        # returns the column itself, None, and add's stored row or None
+        # stored row, a one-entry row (a marker) and a row with several
+        # entries; add_unit returns the column itself, None, and add's result:
+        # its stored row, the column of its marker, or None
         add_unit = RowReducer.add_unit
         outcomes = {"fresh": 0, "one entry": 0, "several entries": 0}
 
         def recording_add_unit(self, k):
-            size = len(self._pivots.get(k) or ())
-            outcome = "fresh" if not size else "one entry" if size == 1 else "several entries"
+            prow = self._pivots.get(k)
+            outcome = "fresh" if prow is None else "one entry" if prow == 1 else "several entries"
             outcomes[outcome] += 1
             kept = add_unit(self, k)
             if outcome == "fresh":
-                assert kept is k and self._pivots[k] == {k: 1}
+                assert kept is k and self._pivots[k] == 1
             elif outcome == "one entry":
                 assert kept is None
+            elif type(kept) is dict:
+                assert kept is self._pivots[min(kept)]
             else:
-                assert kept is None or kept is self._pivots[min(kept)]
+                assert kept is None or self._pivots[kept] == 1
             return kept
 
         monkeypatch.setattr(RowReducer, "add_unit", recording_add_unit)
@@ -381,9 +388,10 @@ class TestFiltrationDims:
     def test_stored_entries_per_job(self, monkeypatch):
         # the work of the {1, I} and then {e(0,0)} job at 16 does not depend on
         # what ran before it: rows added, elimination steps (the reducer's
-        # pivot lookups that found a stored row) and the entries of the rows
-        # add stored, alone, after other jobs and after the memo was cleared
-        work = {"added": 0, "steps": 0, "entries": 0}
+        # pivot lookups that found a stored row, a marker too), and the rows
+        # stored and their entries, a marker counting as one, alone, after
+        # other jobs and after the memo was cleared
+        work = {"added": 0, "steps": 0, "stored": 0, "entries": 0}
 
         class CountingPivots(dict):
             def get(self, key, default=None):
@@ -397,18 +405,19 @@ class TestFiltrationDims:
         def counting(red, stored, handed_on):
             work["added"] += 1
             work["steps"] -= handed_on  # add_unit and then add looked up one pivot
+            work["stored"] += stored is not None
             work["entries"] += len(stored or ())
 
         monkeypatch.setattr(RowReducer, "__init__", counting_init)
         record_rows_added(monkeypatch, counting)
 
         def job():
-            work.update(added=0, steps=0, entries=0)
+            work.update(added=0, steps=0, stored=0, entries=0)
             dims = [bimodule_filtration_dims(g, 16) for g in ([Element1.one(), I], [E00])]
             return dims, dict(work)
 
         alone = job()
-        assert alone[1] == {"added": 660, "steps": 67, "entries": 596}
+        assert alone[1] == {"added": 660, "steps": 67, "stored": 595, "entries": 596}
         bimodule_filtration_dims([E00], 16)
         assert job() == alone
         bimodule_filtration_dims([D.power(5) * H.power(2) - e(6, 1)], 10)
