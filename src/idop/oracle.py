@@ -70,18 +70,6 @@ class TruncMatrix:
 
     __hash__ = None
 
-    def __add__(self, other: "TruncMatrix") -> "TruncMatrix":
-        if not isinstance(other, TruncMatrix):
-            return NotImplemented
-        if self.size != other.size or self.rank != other.rank:
-            raise ValueError("matrix shape mismatch")
-        out = TruncMatrix(self.size, self.rank)
-        for r in range(self.dim):
-            row, a, b = out.entries[r], self.entries[r], other.entries[r]
-            for c in range(self.dim):
-                row[c] = a[c] + b[c]
-        return out
-
     def __matmul__(self, other: "TruncMatrix") -> "TruncMatrix":
         if not isinstance(other, TruncMatrix):
             return NotImplemented

@@ -17,7 +17,7 @@ factors) and the census of realized label tuples.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import hpoly
 from .hpoly import Scalar
@@ -366,7 +366,8 @@ def _stable_tail(seq: Sequence[int]) -> Optional[int]:
 
 def multiplicity_report(dims: Sequence[int]) -> Optional[MultiplicityReport]:
     """Detect polynomial growth degree; None when nothing stabilizes in range."""
-    if not isinstance(dims, Iterable):
+    # a set or a mapping iterates in no order of index
+    if isinstance(dims, (AbstractSet, Mapping)) or not isinstance(dims, Iterable):
         raise TypeError(f"dims must be a sequence of integers, got {type(dims).__name__} {dims!r}")
     seq = dims = [_index(d, "an entry of dims") for d in dims]
     for deg in range(len(seq)):

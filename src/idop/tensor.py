@@ -325,7 +325,7 @@ class Element1(ElementN):
         graded, fpart = _mapping(graded, "graded"), _mapping(fpart, "fpart")
         terms = {}
         for i, p in graded.items():
-            if isinstance(p, Mapping) or not isinstance(p, Iterable):
+            if isinstance(p, (Mapping, str, bytes, bytearray)) or not isinstance(p, Iterable):
                 raise TypeError(
                     f"graded[{i!r}] must be a coefficient sequence, got {type(p).__name__} {p!r}"
                 )
@@ -400,6 +400,8 @@ def apply_n(a: ElementN, p: Mapping[Tuple[int, ...], Scalar]) -> dict[Tuple[int,
     check_operator(a)
     p = _mapping(p, "p")
     for exps in p:
+        if not isinstance(exps, tuple):
+            raise TypeError(f"p key must be an exponent tuple, got {type(exps).__name__} {exps!r}")
         if len(exps) != a.n:
             raise ValueError(f"monomial {exps} has {len(exps)} variables, expected {a.n}")
         for e in exps:

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from .element import Element1, _index
-from .oracle import consistent, to_matrix, to_matrix_monomial
+from .oracle import consistent, to_matrix_monomial
 from .sampling import (
     random_element1,
     random_element_n,
@@ -196,7 +196,7 @@ def holonomy_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
 
 
 def socle_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
-    """Socle levels, the census bound, and the split round-trip."""
+    """Socle levels, the census labels, and the split round-trip."""
     checks = _Checks()
     rng = random.Random(seed)
     I1 = Element1.from_generator("I")
@@ -243,13 +243,6 @@ def socle_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
         len(c) == 9 and c == {(p, q) for p in "AFL" for q in "AFL"},
         f"got {sorted(c)}",
     )
-    bad = None
-    for k in range(200 if samples is None else samples):
-        a = random_element_n(rng, 2)
-        if not census(a) <= {(p, q) for p in "AFL" for q in "AFL"}:
-            bad = k
-            break
-    checks.add("census is always a subset of {A,F,L}^n", bad is None)
 
     count = 500 if samples is None else samples
     bad = None
@@ -262,20 +255,8 @@ def socle_suite(seed: int = 0, samples: Optional[int] = None) -> list[Check]:
         if not (in_a_span(parts.a_part) and in_f_span(parts.f_part) and in_l_span(parts.l_part)):
             bad = (k, "span", a)
             break
-        if to_matrix(a, ORACLE_WINDOW) != (
-            to_matrix(parts.a_part, ORACLE_WINDOW)
-            + to_matrix(parts.f_part, ORACLE_WINDOW)
-            + to_matrix(parts.l_part, ORACLE_WINDOW)
-        ):
-            bad = (k, "oracle", a)
-            break
-        if k % 2 == 1:
-            if not consistent(parts.total(), prev_total, ORACLE_WINDOW):
-                bad = (k, "product", a)
-                break
-        prev_total = parts.total()
     checks.add(
-        f"{count} random splits re-sum, stay in span, and agree with the oracle",
+        f"{count} random splits re-sum and stay in span",
         bad is None,
         f"sample #{bad[0]} failed the {bad[1]} check: {bad[2]}" if bad else "",
     )

@@ -16,10 +16,10 @@ CRITERIA = {
     5: ("e(0,0) bimodule: dims (i+1)(i+2)/2, degree 2, multiplicity 1", 10.0, "dims", [0, 1]),
     6: ("{1, I} bimodule: frozen dims table, second difference 3", 300.0, "holonomy", [0, 1]),
     7: ("socle levels 0..2 realized; monotone under 1000 Weyl products", 60.0, "socle", range(4)),
-    8: ("census within {A,F,L}^n; 9 labels realized at rank 2", 1.0, "socle", [4, 5]),
+    8: ("all 9 census labels realized at rank 2", 1.0, "socle", [4]),
     9: ("e(i,j)(x)e(k,j) kernel witness on the full grid i,j,k <= 6", 5.0, "kernel", [0, 1]),
     10: ("quotients multiplicative on 200 pairs; kernel is the e-span", 30.0, "kernel", [2, 3, 4]),
-    11: ("500 random splits re-sum, stay in span, agree with the oracle", 60.0, "socle", [6]),
+    11: ("500 random splits re-sum and stay in span", 60.0, "socle", [5]),
 }
 
 
@@ -69,7 +69,7 @@ def test_criterion_7_socle_structure(suites):
     _criterion(7, suites)
 
 
-def test_criterion_8_census_bound(suites):
+def test_criterion_8_census_labels(suites):
     _criterion(8, suites)
 
 

@@ -34,6 +34,16 @@ X2 = lift(1, X, 2)
             TypeError,
             "graded[2] must be a coefficient sequence, got dict {1: 3}",
         ),
+        (
+            lambda: Element1({0: b"ab"}),
+            TypeError,
+            "graded[0] must be a coefficient sequence, got bytes b'ab'",
+        ),
+        (
+            lambda: Element1({0: "ab"}),
+            TypeError,
+            "graded[0] must be a coefficient sequence, got str 'ab'",
+        ),
         (lambda: Element1(fpart={5: 1}), TypeError, "fpart key must be an (s, t) pair, got int 5"),
         (
             lambda: Element1(fpart={(1, 2, 3): 1}),
@@ -46,6 +56,11 @@ X2 = lift(1, X, 2)
         (lambda: ElementN(2, []), TypeError, "terms must be a mapping, got list []"),
         (lambda: BnElement(1, 5), TypeError, "terms must be a mapping, got int 5"),
         (lambda: apply_n(X, [(1,)]), TypeError, "p must be a mapping, got list [(1,)]"),
+        (
+            lambda: apply_n(Element1.one(), {0: 1}),
+            TypeError,
+            "p key must be an exponent tuple, got int 0",
+        ),
         (
             lambda: from_atoms(5),
             TypeError,
@@ -88,6 +103,17 @@ X2 = lift(1, X, 2)
             lambda: multiplicity_report(None),
             TypeError,
             "dims must be a sequence of integers, got NoneType None",
+        ),
+        # a set or a mapping has no order of index
+        (
+            lambda: multiplicity_report({2, 7, 15}),
+            TypeError,
+            "dims must be a sequence of integers, got set {2, 7, 15}",
+        ),
+        (
+            lambda: multiplicity_report({1: 2, 3: 4}),
+            TypeError,
+            "dims must be a sequence of integers, got dict {1: 2, 3: 4}",
         ),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
         # text: expr._tokenize
@@ -133,7 +159,7 @@ X2 = lift(1, X, 2)
             TypeError,
             "k must not be None: add_unit returns None for a dependent row",
         ),
-        # matrices: a non-matrix operand of + or @ is NotImplemented
+        # matrices: + is not defined, and a non-matrix operand of @ is NotImplemented
         (
             lambda: TruncMatrix(2) + 5,
             TypeError,

@@ -16,7 +16,7 @@ import idop.element as element
 import idop.structure as structure
 from idop.element import Element1, from_atoms
 from idop.expr import parse_element
-from idop.oracle import RowReducer, to_matrix
+from idop.oracle import RowReducer
 from idop.sampling import random_nonzero_element_n, random_weyl_word
 from idop.structure import (
     MultiplicityReport,
@@ -30,7 +30,7 @@ from idop.structure import (
     split,
 )
 from idop.tensor import ElementN, lift
-from idop.verify import FILTRATION_DIMS_ONE_I, kernel_suite
+from idop.verify import FILTRATION_DIMS_ONE_I, kernel_suite, socle_suite
 from conftest import coefficients, elements1, nonzero_elements1
 
 D = Element1.from_generator("d")
@@ -91,14 +91,24 @@ class TestSplit:
         assert in_f_span(parts.f_part)
         assert in_l_span(parts.l_part)
 
-    @given(elements1())
-    @settings(max_examples=30, deadline=None)
-    def test_oracle_re_sum(self, a):
-        N = 16
-        total = to_matrix(split(a).a_part, N) + to_matrix(split(a).f_part, N) + to_matrix(
-            split(a).l_part, N
-        )
-        assert total == to_matrix(a, N)
+    def test_verify_lines_can_fail_on_a_labeller_without_l(self, monkeypatch):
+        # The census-label and split lines of `idop verify`: a labeller that
+        # labels every L part as A realizes no L label and puts L parts in the
+        # A part, outside its span.
+        label_parts = structure._atom_label_parts
+
+        def l_as_a(atom):
+            return [(("A" if label == "L" else label, b), c) for (label, b), c in label_parts(atom)]
+
+        monkeypatch.setattr(structure, "_atom_label_parts", l_as_a)
+        labels, splits = socle_suite(samples=10)[4:]
+        assert not labels.ok
+        assert not splits.ok and "failed the span check" in splits.detail
+
+    def test_verify_split_line_fails_on_a_split_that_drops_l(self, monkeypatch):
+        monkeypatch.setattr("idop.verify.split", lambda a: split(a)._replace(l_part=Element1.zero()))
+        splits = socle_suite(samples=10)[5]
+        assert not splits.ok and "failed the re-sum check" in splits.detail
 
 
 class TestSocle:
