@@ -14,7 +14,9 @@ equality of stored forms is equality of operators.
 
 The rewrite rules are stated once, in _block_mul, on blocks: a grade block
 v_i p(H) or one e-unit.  The one product, tensor._product, sums it over pairs
-of last-slot blocks; atom_mul is its case for two atoms.  The filtration
+of last-slot blocks and multiplies the other slots atom by atom with
+_atom_product, its unchecked case for two atoms; atom_mul is that case for
+atoms given from outside, checked and returned as an Element1.  The filtration
 (structure.bimodule_filtration_dims) restates the products with x and d in a
 falling-factorial basis, and tests check it against atom_mul.
 """
@@ -189,21 +191,33 @@ def _block_mul(left: Block, right: Block) -> list[Tuple[Block, Scalar]]:
     return [(("e", u, z), 1)] if v == w else []
 
 
-def atom_mul(left: Atom, right: Atom) -> "Element1":
-    """Product of two basis atoms in canonical form: _block_mul on the blocks
-    v_i H^t and e(s,t).  Both atoms are validated as in check_key."""
-    (ltag, la, lb), (rtag, ra, rb) = check_key((left, right))
+def _atom_product(left: Atom, right: Atom) -> list[Tuple[Atom, Scalar]]:
+    """Product of two valid basis atoms in canonical form, unchecked: _block_mul
+    on the blocks v_i H^t and e(s,t), as (atom, coefficient) pairs with
+    distinct atoms."""
+    ltag, la, lb = left
+    rtag, ra, rb = right
     if ltag == "v":
         lb = (0,) * lb + (1,)
     if rtag == "v":
         rb = (0,) * rb + (1,)
-    terms: dict = {}
-    for (tag, a, b), c in _block_mul((ltag, la, lb), (rtag, ra, rb)):
-        if tag == "v":
-            terms.update(((("v", a, t),), pc) for t, pc in enumerate(b) if pc)
-        else:
-            terms[(("e", a, b),)] = c
-    return Element1._make(1, terms)
+    out: list[Tuple[Atom, Scalar]] = []
+    for block, c in _block_mul((ltag, la, lb), (rtag, ra, rb)):
+        tag, a, b = block
+        if tag == "e":
+            out.append((block, c))
+            continue
+        for t, pc in enumerate(b):  # a grade block has coefficient 1
+            if pc:
+                out.append((("v", a, t), pc))
+    return out
+
+
+def atom_mul(left: Atom, right: Atom) -> "Element1":
+    """Product of two basis atoms as an Element1: _atom_product after both atoms
+    are validated as in check_key."""
+    left, right = check_key((left, right))
+    return Element1._make(1, {(atom,): c for atom, c in _atom_product(left, right)})
 
 
 def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:

@@ -26,7 +26,16 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .element import Element1, Scalar, atom_sort_key, format_terms
-from .tensor import BnElement, ElementN, _collect, _Terms, check_rank, lift, to_element1
+from .tensor import (
+    MAX_EXPONENT,
+    BnElement,
+    ElementN,
+    _collect,
+    _Terms,
+    check_rank,
+    lift,
+    to_element1,
+)
 from .oracle import TruncMatrix
 
 
@@ -92,9 +101,6 @@ def _tokenize(text: str) -> list[_Token]:
 Node = tuple
 
 MAX_NESTING = 100  # parenthesis depth; keeps parsing and evaluation off the recursion limit
-# Largest product of nested exponents, checked before anything is evaluated, so
-# that (x+d)^400 and ((x+d)^60)^60 are refused instead of running for hours.
-MAX_EXPONENT = 60
 
 
 def _exponent_product(node: Node) -> int:

@@ -116,6 +116,17 @@ X2 = lift(1, X, 2)
             "dims must be a sequence of integers, got dict {1: 2, 3: 4}",
         ),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
+        # exponents: ElementN.power, before the first product
+        (
+            lambda: parse_element("x+d").power(61),
+            ValueError,
+            "exponent 61 exceeds the budget 60",
+        ),
+        (
+            lambda: parse_element("x+d").power(10**9),
+            ValueError,
+            "exponent 1000000000 exceeds the budget 60",
+        ),
         # text: expr._tokenize
         (lambda: parse_element(5), TypeError, "text must be a string, got int 5"),
         (lambda: parse_poly(None), TypeError, "text must be a string, got NoneType None"),

@@ -5,11 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idop
-from idop.element import Element1
+from idop.element import Element1, _atom_product, atom_mul
 from idop.expr import parse_element, parse_poly
 from idop.oracle import consistent
 from idop.tensor import (
@@ -21,7 +21,7 @@ from idop.tensor import (
     project_bn,
     to_element1,
 )
-from conftest import coefficients, elements1, elements_n, polys_n
+from conftest import atoms, coefficients, elements1, elements_n, polys_n
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -220,6 +220,79 @@ class TestDenseProducts:
     def test_rank3(self, a, b, p):
         assert apply_n(a * b, p) == apply_n(a, apply_n(b, p))
         assert consistent(a, b, 5)
+
+
+# every atom of grade -3..3 with H-power 0..3, and every e(s,t) with s, t < 5
+ATOM_GRID = [("v", i, t) for i in range(-3, 4) for t in range(4)] + [
+    ("e", s, t) for s in range(5) for t in range(5)
+]
+
+SMALL_EUNITS = st.tuples(st.just("e"), st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def eunit_heads(draw, n):
+    """A rank-n operator with e-units in its head slots (every slot but the
+    last): one term has an e-unit in each of them, and the others draw head
+    atoms from small e-units and all atoms, so that many pairs of heads have
+    a vanishing product, e(s,t) e(u,v) = 0 for t != u."""
+    head_atoms = st.one_of(SMALL_EUNITS, atoms)
+    keys = st.tuples(*[head_atoms] * (n - 1), atoms)
+    terms = draw(st.dictionaries(keys, coefficients, max_size=3))
+    terms[draw(st.tuples(*[SMALL_EUNITS] * (n - 1), atoms))] = draw(coefficients)
+    return ElementN(n, terms)
+
+
+def slotwise_product(a, b):
+    """The reference product: the sum over pairs of terms of the tensor
+    product of the slot-wise atom_mul results."""
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            partial = {(): c1 * c2}
+            for left, right in zip(k1, k2):
+                grown = {}
+                for key, c in partial.items():
+                    for (atom,), cs in atom_mul(left, right).terms.items():
+                        grown[key + (atom,)] = c * cs
+                partial = grown
+            for key, c in partial.items():
+                out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+class TestProductReferee:
+    def test_atom_product_is_atom_mul(self):
+        for left in ATOM_GRID:
+            for right in ATOM_GRID:
+                pairs = _atom_product(left, right)
+                want = {atom: c for (atom,), c in atom_mul(left, right).terms.items()}
+                assert dict(pairs) == want
+                assert len(pairs) == len(want)  # no atom twice
+
+    @given(eunit_heads(2), eunit_heads(2))
+    @example(
+        ElementN(2, {(("e", 0, 1), ("v", 1, 2)): 2, (("v", -1, 1), ("e", 0, 0)): -1}),
+        ElementN(2, {(("e", 2, 2), ("v", -2, 0)): 3, (("e", 1, 0), ("v", 0, 1)): 1}),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank2_matches_slotwise_reference(self, a, b):
+        assert (a * b).terms == slotwise_product(a, b)
+
+    @given(eunit_heads(3), eunit_heads(3))
+    @example(
+        ElementN(3, {(("e", 0, 1), ("v", 2, 0), ("v", 1, 1)): 1}),
+        ElementN(
+            3,
+            {
+                (("e", 2, 2), ("v", -1, 1), ("e", 0, 3)): 5,
+                (("e", 1, 0), ("v", 0, 0), ("v", 1, 0)): -2,
+            },
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rank3_matches_slotwise_reference(self, a, b):
+        assert (a * b).terms == slotwise_product(a, b)
 
 
 class TestRankBudget:
