@@ -224,22 +224,26 @@ def atom_apply_power(atom: Atom, s: int) -> Optional[Tuple[Fraction, int]]:
     """Action of a basis atom on the monomial x^s: the resulting (coefficient, exponent).
 
     H x^s = (s+1) x^s, d x^s = s x^{s-1}, I x^s = x^{s+1}/(s+1), and
-    e(u,v) x^s = [v == s] (s!/u!) x^u.
+    e(u,v) x^s = [v == s] (s!/u!) x^u.  Each ratio of factorials is taken as
+    the product over the exponents that change, so the work grows with the
+    atom's indices, not with s.
     """
     tag, a, b = atom
     if tag == "v":
         i, t = a, b
         c = Fraction(s + 1) ** t
         if i >= 0:
-            return (c * Fraction(math.factorial(s), math.factorial(s + i)), s + i)
+            return (c / math.perm(s + i, i), s + i)
         m = -i
         if s < m:
             return None
-        return (c * Fraction(math.factorial(s), math.factorial(s - m)), s - m)
+        return (c * math.perm(s, m), s - m)
     u, v = a, b
     if s != v:
         return None
-    return (Fraction(math.factorial(v), math.factorial(u)), u)
+    if u <= v:
+        return (Fraction(math.perm(v, v - u)), u)
+    return (Fraction(1, math.perm(u, u - v)), u)
 
 
 # Element1 is defined beside ElementN, of which it is the rank-1 case, and

@@ -387,7 +387,7 @@ class Element1(ElementN):
             yield atom, c
 
     def fdegree(self) -> int:
-        """Size of the smallest square e-index block containing the e-part; -1 if none."""
+        """The largest index u or v of an e-unit e(u,v) in the e-part; -1 if none."""
         return max((max(s, t) for s, t in self.fpart), default=-1)
 
 

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idop.cli import main
-
-DATA = Path(__file__).parent / "data"
+from golden_cases import CASES, DATA, golden_file
 
 
 def module_env():
@@ -30,39 +29,28 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize(
+    "name, argv, fmt",
+    [pytest.param(name, argv, fmt, id=f"{name}-{fmt}") for name, argv, fmts in CASES for fmt in fmts],
+)
+def test_golden_output(capsys, name, argv, fmt):
+    # byte-exact, so the parsers, the printers and the JSON encoder are pinned
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == golden_file(name, fmt).read_bytes()
+
+
+def test_every_golden_file_has_one_case():
+    named = [golden_file(name, fmt) for name, _, fmts in CASES for fmt in fmts]
+    assert len(set(named)) == len(named)
+    assert sorted(named) == sorted(DATA.glob("*.golden.*"))
+
+
 class TestNorm:
     def test_telescoping(self, capsys):
         code, out, _ = run(capsys, "norm", "I^2*d^2")
         assert code == 0
         assert out.strip() == "1 - e(0,0) - e(1,1)"
-
-    def test_golden_rank1(self, capsys):
-        code, out, _ = run(capsys, "norm", "--format", "json", "I^2*d^2 + 3/2*d*H - I")
-        assert code == 0
-        assert json.loads(out) == json.loads((DATA / "norm_rank1.golden.json").read_text())
-
-    def test_golden_rank2(self, capsys):
-        code, out, _ = run(
-            capsys, "norm", "--n", "2", "--format", "json", "e(0,0)_1*I_2 - 2*H_1 + d_1*d_2"
-        )
-        assert code == 0
-        assert json.loads(out) == json.loads((DATA / "norm_rank2.golden.json").read_text())
-
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("norm_dense_rank1", ["(3*x-2*d)^11"]),
-            ("norm_dense_rank1_eunits", ["(x-2*I+3*d+1/2*e(1,0))^6"]),
-            ("norm_dense_rank2", ["--n", "2", "(2*x_1+d_2+3*I_1*e(0,0)_2)^5"]),
-            ("norm_dense_rank3", ["--n", "3", "(x_1*d_2-2*I_3+H_1)^4"]),
-        ],
-    )
-    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_dense_powers_match_golden_output(self, capsys, name, argv, fmt, suffix):
-        # byte-exact, so the printer and the JSON encoder are pinned on dense output
-        code, out, err = run(capsys, "norm", "--format", fmt, *argv)
-        assert (code, err) == (0, "")
-        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
 
     def test_deterministic(self, capsys):
         first = run(capsys, "norm", "--n", "2", "x_1*d_2 + e(1,0)_2")
@@ -145,26 +133,6 @@ class TestApply:
         code, out, _ = run(capsys, "apply", "--n", "2", "d_1*I_2", "x1*x2")
         assert code == 0
         assert out.strip() == "1/2*x2^2"
-
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("apply_rank1", ["3/2*I^2 - d + 2*e(2,1) + H", "x^3 - 2*x + 1/3"]),
-            ("apply_rank2", ["--n", "2", "d_1*I_2 - 1/2*H_1*x_2 + e(0,1)_1", "(x1+x2)^3 - 1/2"]),
-            (
-                "apply_rank3",
-                ["--n", "3", "x_1*d_2*I_3 - 3*e(1,0)_3 + H_2^2", "x1*x2^2*x3 + 5/7*x3 - x1^2"],
-            ),
-            ("apply_zero", ["d^4 + e(0,5)", "x^3 + 2/3*x"]),
-        ],
-    )
-    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_matches_golden_output(self, capsys, name, argv, fmt, suffix):
-        # byte-exact, so the polynomial parser and printer are pinned
-        code, out, err = run(capsys, "apply", "--format", fmt, *argv)
-        assert (code, err) == (0, "")
-        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
-
 
 class TestSplit:
     def test_triple(self, capsys):
@@ -262,33 +230,6 @@ class TestMatrix:
         assert err == f"error: matrix dimension 17^3 = 4913 exceeds the budget {MAX_MATRIX_DIM}\n"
 
 
-class TestDecompositionsGolden:
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("split_rank1", ["split", "1/2*x^2 - 3*e(1,0) + 2/3*d"]),
-            ("split_dense_rank1", ["split", "(x - 2/3*I + e(0,1))^3"]),
-            ("split_zero", ["split", "I*d - 1 + e(0,0)"]),
-            ("socle_rank1", ["socle", "I^2 - 5/2*e(0,3) + x"]),
-            ("socle_rank2", ["socle", "--n", "2", "I_1*I_2 - 1/2*e(1,0)_1*d_2 + x_2"]),
-            ("quot_rank1", ["quot", "3/2*I^2*H - e(2,0) + x*d"]),
-            ("quot_rank2", ["quot", "--n", "2", "H_1*I_2 - 2/3*e(0,0)_1 + d_1*x_2"]),
-            ("quot_zero", ["quot", "e(3,1) - 1/2*e(0,0)"]),
-            ("fdeg_rank1", ["fdeg", "2/5*e(3,1) + x"]),
-            ("fdeg_no_eunits", ["fdeg", "d^3 - 1/2*x"]),
-            ("matrix_rank1", ["matrix", "--size", "4", "x - 1/2*d + 3*e(1,2)"]),
-            ("matrix_rank2", ["matrix", "--n", "2", "--size", "3", "I_1*d_2 - 2/3*e(0,1)_2"]),
-            ("matrix_zero", ["matrix", "--size", "3", "I*d - 1 + e(0,0)"]),
-        ],
-    )
-    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_matches_golden_output(self, capsys, name, argv, fmt, suffix):
-        # byte-exact, so every command that builds parsed generators is pinned
-        code, out, err = run(capsys, *argv, "--format", fmt)
-        assert (code, err) == (0, "")
-        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
-
-
 class TestDims:
     def test_e00(self, capsys):
         code, out, _ = run(capsys, "dims", "--gen", "e(0,0)", "--max", "6")
@@ -322,22 +263,6 @@ class TestDims:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "gen, i_max, name",
-        [
-            pytest.param("1,I", "16", "dims_one_i", id="1,I-dims_one_i"),
-            pytest.param("e(0,0)", "16", "dims_e00", id="e(0,0)-dims_e00"),
-            # most of its stored rows have several entries: the reducer's general path
-            pytest.param("x*d - 2*e(1,1),I^2*H", "12", "dims_mixed", id="mixed-dims_mixed"),
-        ],
-    )
-    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_matches_golden_output(self, capsys, gen, i_max, name, fmt, suffix):
-        code, out, err = run(capsys, "dims", "--gen", gen, "--max", i_max, "--format", fmt)
-        assert (code, err) == (0, "")
-        assert out == (DATA / f"{name}.golden.{suffix}").read_text()
-
-
 class TestVerify:
     def test_relations_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "relations")
@@ -350,10 +275,6 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] == payload["total"]
-
-    def test_smaller_samples(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "kernel", "--samples", "10", "--seed", "3")
-        assert code == 0
 
     def test_nonpositive_samples_is_usage_error(self, capsys):
         for value in ("0", "-5"):
@@ -403,16 +324,6 @@ class TestVerify:
             verify.run_suites(["relations", "nope"])
         known = ", ".join(sorted(verify.SUITES))
         assert str(info.value) == f"unknown suite 'nope'; known suites: {known}"
-
-    def test_all_suites_match_golden_output(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "all")
-        assert code == 0
-        assert out == (DATA / "verify_all.golden.txt").read_text()
-
-    def test_all_suites_match_golden_json(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
-        assert code == 0
-        assert out == (DATA / "verify_all.golden.json").read_text()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_socle_with_few_samples(self, capsys, seed):

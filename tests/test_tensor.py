@@ -326,6 +326,20 @@ class TestApply:
     def test_projection_onto_constants(self):
         assert apply_n(lift(1, E00, 2), {(2, 0): 1, (0, 1): 1}) == {(0, 1): Fraction(1)}
 
+    @pytest.mark.parametrize(
+        "a, coefficient, exponent",
+        [
+            (D, 10**6, 10**6 - 1),
+            (I, Fraction(1, 10**6 + 1), 10**6 + 1),
+            (Element1(fpart={(10**6 - 1, 10**6): 1}), 10**6, 10**6 - 1),
+            (Element1(fpart={(10**6 + 1, 10**6): 1}), Fraction(1, 10**6 + 1), 10**6 + 1),
+        ],
+        ids=["d", "I", "e(s-1,s)", "e(s+1,s)"],
+    )
+    def test_high_exponent(self, a, coefficient, exponent):
+        # on x^s with s = 10**6: the work follows the atom, not s
+        assert apply_n(lift(1, a, 1), {(10**6,): 1}) == {(exponent,): coefficient}
+
     def test_rank_mismatch(self):
         # the zero operator checks its polynomial as every other operator does
         for a in (ElementN.one(2), ElementN.zero(2)):
