@@ -248,6 +248,12 @@ class _Poly(_Terms):
                 _collect(out, c1 * c2, [[(a + b, 1)] for a, b in zip(k1, k2)])
         return self._make(self.n, out)
 
+    def monomial_power(self, k: int) -> "_Poly":
+        """self^k for a one-term self and k >= 1, in one step: its exponents
+        times k and its coefficient to the k, as the k-fold product gives."""
+        ((key, c),) = self.terms.items()
+        return self._make(self.n, {tuple(e * k for e in key): c**k})
+
 
 _Poly._family = _Poly
 
@@ -297,6 +303,8 @@ def _evaluate(node: Node, leaf: Callable[[Node, int], object], n: int):
         return acc
     if kind == "pow":
         base, acc = _evaluate(node[1], leaf, n), leaf(("num", 1), n)
+        if node[2] and type(base) is _Poly and len(base.terms) == 1:
+            return base.monomial_power(node[2])
         for _ in range(node[2]):
             acc = acc * base
         return acc

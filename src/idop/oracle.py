@@ -139,15 +139,25 @@ def to_matrix_monomial(a: Element1, N: int) -> TruncMatrix:
 
 
 def to_matrix_n(a: ElementN, N: int) -> TruncMatrix:
-    """Divided-power matrix of a rank-n operator, size N**n."""
+    """Divided-power matrix of a rank-n operator, size N**n.
+
+    The images of x^[s], s < N, under each distinct atom are tabulated once,
+    None where the image is zero or leaves the window."""
     check_operator(a)
     mat = TruncMatrix(N, rank=a.n)
+    images = {}
+    for atom in {atom for key in a.terms for atom in key}:
+        table = images[atom] = []
+        for s in range(N):
+            res = _divided_atom_action(atom, s)
+            table.append(res if res is not None and res[1] < N else None)
+    terms = [([images[atom] for atom in key], c) for key, c in a.terms.items()]
     for col, multi in enumerate(product(range(N), repeat=a.n)):
-        for key, c in a.terms.items():
+        for tables, c in terms:
             row = 0
-            for atom, s in zip(key, multi):
-                res = _divided_atom_action(atom, s)
-                if res is None or res[1] >= N:
+            for table, s in zip(tables, multi):
+                res = table[s]
+                if res is None:
                     break
                 c *= res[0]
                 row = row * N + res[1]
@@ -176,7 +186,7 @@ def consistent(a, b, N: int) -> bool:
     w = N - ua - ub
     if w <= 0:
         raise ValueError(f"empty validity window: N={N} <= up(a)+up(b)={ua + ub}")
-    build = to_matrix if a.n == 1 else to_matrix_n  # to_matrix_n is about 2x slower at rank 1
+    build = to_matrix if a.n == 1 else to_matrix_n  # to_matrix_n is about 2.4x slower at rank 1
     prod, mm = build(a * b, N), build(a, N) @ build(b, N)
     cols = product(range(N), repeat=a.n)
     window = itemgetter(*(col for col, multi in enumerate(cols) if max(multi) < w))

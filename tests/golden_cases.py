@@ -58,6 +58,7 @@ CASES = [
     ("matrix_rank1", ("matrix", "--size", "4", "x - 1/2*d + 3*e(1,2)"), BOTH),
     ("matrix_rank2", ("matrix", "--n", "2", "--size", "3", "I_1*d_2 - 2/3*e(0,1)_2"), BOTH),
     ("matrix_zero", ("matrix", "--size", "3", "I*d - 1 + e(0,0)"), BOTH),
+    ("matrix_rank3", ("matrix", "--n", "3", "--size", "3", "x_1*d_2 - 2*I_3 + e(1,0)_2*H_3"), BOTH),
     ("dims_one_i", ("dims", "--gen", "1,I", "--max", "16"), BOTH),
     ("dims_e00", ("dims", "--gen", "e(0,0)", "--max", "16"), BOTH),
     # most of its stored rows have several entries: the reducer's general path

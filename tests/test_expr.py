@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from idop.element import Element1
 from idop.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
     ExprSyntaxError,
+    _Poly,
     parse_element,
     parse_poly,
     format_poly,
@@ -166,6 +167,31 @@ class TestParsePoly:
         assert format_poly({(3,): Fraction(1, 3)}, 1) == "1/3*x^3"
         assert format_poly({(1, 2): Fraction(1), (0, 0): Fraction(-2)}, 2) == "-2 + x1*x2^2"
         assert format_poly({}, 1) == "0"
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
+            )
+        ),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+        st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_power_is_the_k_fold_product(self, rank_exps, c, k):
+        n, exps = rank_exps
+        base = _Poly(n, {tuple(exps): c})
+        want = _Poly(n, {(0,) * n: 1})
+        for _ in range(k):
+            want = want * base
+        got = parse_poly(f"({format_poly(base.terms, n)})^{k}", n)
+        assert got == want.terms
+        assert [type(v) for v in got.values()] == [type(v) for v in want.terms.values()]
+
+    def test_long_product_of_monomial_powers(self):
+        # each x^60 is raised in one step, not by 60 products
+        assert parse_poly("*".join(["x*x^60"] * 20000), 1) == {(1220000,): 1}
 
     def test_poly_round_trip(self):
         p = {(1, 2): Fraction(5), (0, 0): Fraction(-1, 2), (3, 0): Fraction(1)}

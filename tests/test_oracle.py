@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from idop import oracle, tensor
 from idop.element import Element1
+from idop.expr import parse_element
 from idop.oracle import (
     RowReducer,
     TruncMatrix,
@@ -20,7 +22,7 @@ from idop.oracle import (
     up,
 )
 from idop.tensor import ElementN, apply_n, lift
-from conftest import atoms, elements1, elements_n
+from conftest import atoms, elements1, elements_n, nonzero_elements1
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -42,6 +44,17 @@ def summed(*ms):
     """The entrywise sum of matrices of one shape."""
     out = TruncMatrix(ms[0].size, ms[0].rank)
     out.entries = [list(map(sum, zip(*rows))) for rows in zip(*(m.entries for m in ms))]
+    return out
+
+
+def kronecker(*ms):
+    """The Kronecker product of rank-1 matrices of one size, factor 1 most significant."""
+    out = TruncMatrix(ms[0].size, len(ms))
+    index = list(product(range(ms[0].size), repeat=len(ms)))
+    out.entries = [
+        [math.prod(m.entries[r][s] for m, r, s in zip(ms, rows, cols)) for cols in index]
+        for rows in index
+    ]
     return out
 
 
@@ -296,6 +309,35 @@ class TestTensorMatrix:
             for r2 in range(N):
                 want = img.get((r1, r2), Fraction(0)) * math.factorial(r1) * math.factorial(r2)
                 assert m.entries[r1 * N + r2][col] * fact == want
+
+    @pytest.mark.parametrize("n, sizes", [(2, (4, 5)), (3, (3, 4))])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_pure_tensors_are_kronecker_products(self, n, sizes, data):
+        # every entry, so a wrong row stride or a short image table shows
+        N = data.draw(st.sampled_from(sizes))
+        factors = [data.draw(nonzero_elements1()) for _ in range(n)]
+        a = math.prod((lift(i, f, n) for i, f in enumerate(factors, 1)), start=ElementN.one(n))
+        assert to_matrix_n(a, N) == kronecker(*(to_matrix(f, N) for f in factors))
+        b = data.draw(elements_n(n=n))
+        assert to_matrix_n(a + b, N) == summed(to_matrix_n(a, N), to_matrix_n(b, N))
+
+    def test_each_atom_is_acted_on_once_per_column_index(self, monkeypatch):
+        # the builder tabulates each distinct atom's images of x^[0..N-1] once,
+        # instead of acting on every column for every term
+        cases = [
+            (parse_element("(x + d)^8", 1), 12),
+            (parse_element("(x_1 + d_2 + I_1*H_2)^4", 2), 8),
+            (parse_element("(x_1*d_2 + H_3 + I_2 + e(1,0)_1)^3", 3), 5),
+        ]
+        action = oracle._divided_atom_action
+        for a, N in cases:
+            calls = []
+            monkeypatch.setattr(
+                oracle, "_divided_atom_action", lambda atom, s: calls.append(1) or action(atom, s)
+            )
+            to_matrix_n(a, N)
+            assert 0 < len(calls) <= N * len({atom for key in a.terms for atom in key})
 
 
 class TestExactRank:
