@@ -248,11 +248,17 @@ class _Poly(_Terms):
                 _collect(out, c1 * c2, [[(a + b, 1)] for a, b in zip(k1, k2)])
         return self._make(self.n, out)
 
-    def monomial_power(self, k: int) -> "_Poly":
-        """self^k for a one-term self and k >= 1, in one step: its exponents
-        times k and its coefficient to the k, as the k-fold product gives."""
-        ((key, c),) = self.terms.items()
-        return self._make(self.n, {tuple(e * k for e in key): c**k})
+    def power(self, k: int) -> "_Poly":
+        """self^k for k >= 0, the k-fold product from the constant 1; a
+        one-term self and k >= 1 take one step, its exponents times k and its
+        coefficient to the k, as the k-fold product gives."""
+        if k and len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            return self._make(self.n, {tuple(e * k for e in key): c**k})
+        out = self._make(self.n, {(0,) * self.n: 1})
+        for _ in range(k):
+            out = out * self
+        return out
 
 
 _Poly._family = _Poly
@@ -284,7 +290,7 @@ def _poly_leaf(node: Node, n: int) -> _Poly:
 
 def _evaluate(node: Node, leaf: Callable[[Node, int], object], n: int):
     """The value of a parse tree at rank n: leaf(node, n) for a number,
-    generator or e-unit, and the values' own +, -, * above them."""
+    generator or e-unit, and the values' own +, -, * and power above them."""
     kind = node[0]
     if kind == "sum":
         (sign, first), *rest = node[1]
@@ -302,12 +308,7 @@ def _evaluate(node: Node, leaf: Callable[[Node, int], object], n: int):
             acc = acc * _evaluate(factor, leaf, n)
         return acc
     if kind == "pow":
-        base, acc = _evaluate(node[1], leaf, n), leaf(("num", 1), n)
-        if node[2] and type(base) is _Poly and len(base.terms) == 1:
-            return base.monomial_power(node[2])
-        for _ in range(node[2]):
-            acc = acc * base
-        return acc
+        return _evaluate(node[1], leaf, n).power(node[2])
     return leaf(node, n)
 
 

@@ -323,21 +323,21 @@ class TestTensorMatrix:
         assert to_matrix_n(a + b, N) == summed(to_matrix_n(a, N), to_matrix_n(b, N))
 
     def test_each_atom_is_acted_on_once_per_column_index(self, monkeypatch):
-        # the builder tabulates each distinct atom's images of x^[0..N-1] once,
-        # instead of acting on every column for every term
+        # the builder asks for each distinct atom's images of x^[0..N-1] once per
+        # call, instead of acting on every column for every term
         cases = [
             (parse_element("(x + d)^8", 1), 12),
             (parse_element("(x_1 + d_2 + I_1*H_2)^4", 2), 8),
             (parse_element("(x_1*d_2 + H_3 + I_2 + e(1,0)_1)^3", 3), 5),
         ]
-        action = oracle._divided_atom_action
+        images = oracle._divided_atom_images
         for a, N in cases:
             calls = []
             monkeypatch.setattr(
-                oracle, "_divided_atom_action", lambda atom, s: calls.append(1) or action(atom, s)
+                oracle, "_divided_atom_images", lambda atom, M: calls.append(atom) or images(atom, M)
             )
             to_matrix_n(a, N)
-            assert 0 < len(calls) <= N * len({atom for key in a.terms for atom in key})
+            assert sorted(calls) == sorted({atom for key in a.terms for atom in key})
 
 
 class TestExactRank:

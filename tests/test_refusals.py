@@ -54,6 +54,11 @@ X2 = lift(1, X, 2)
         (lambda: ElementN(1, {5: 1}), TypeError, "terms key must be a tuple, got int 5"),
         (lambda: BnElement(1, {"d": 1}), TypeError, "terms key must be a tuple, got str 'd'"),
         (lambda: ElementN(2, []), TypeError, "terms must be a mapping, got list []"),
+        (
+            lambda: ElementN(2, {(("v", 0, 0),): 1}),
+            ValueError,
+            "key (('v', 0, 0),) has length 1, expected rank 2",
+        ),
         (lambda: BnElement(1, 5), TypeError, "terms must be a mapping, got int 5"),
         (lambda: apply_n(X, [(1,)]), TypeError, "p must be a mapping, got list [(1,)]"),
         (
@@ -72,6 +77,9 @@ X2 = lift(1, X, 2)
             "pairs must be (atom, coefficient) pairs, got list "
             "(not enough values to unpack (expected 2, got 1))",
         ),
+        # ranks: tensor.check_rank
+        (lambda: ElementN(0), ValueError, "rank must be positive, got 0"),
+        (lambda: BnElement(-1), ValueError, "rank must be positive, got -1"),
         # operands: check_operator, inside an iterable of them
         (
             lambda: bimodule_filtration_dims([1], 4),
@@ -116,6 +124,11 @@ X2 = lift(1, X, 2)
             "dims must be a sequence of integers, got dict {1: 2, 3: 4}",
         ),
         (lambda: consistent(X, X, 30.5), TypeError, "N must be an integer, got float 30.5"),
+        (
+            lambda: bimodule_filtration_dims([Element1.one()], -1),
+            ValueError,
+            "i_max must be nonnegative, got -1",
+        ),
         # exponents: ElementN.power, before the first product
         (
             lambda: parse_element("x+d").power(61),
@@ -181,6 +194,7 @@ X2 = lift(1, X, 2)
             TypeError,
             "unsupported operand type(s) for @: 'TruncMatrix' and 'int'",
         ),
+        (lambda: TruncMatrix(2) @ TruncMatrix(3), ValueError, "matrix shape mismatch"),
     ],
 )
 def test_refusal(call, error, message):
@@ -188,3 +202,15 @@ def test_refusal(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_split_referees_can_say_no():
+    E00, I = Element1(fpart={(0, 0): 1}), Element1.from_generator("I")
+    assert not in_a_span(E00) and not in_a_span(I)
+    assert not in_l_span(E00) and not in_l_span(X)
+    assert not in_f_span(I)
+
+
+def test_a_scalar_factor_commutes():
+    # the scalar branch of the product, from either side
+    assert X * 3 == 3 * X == X.scale(3)
