@@ -40,7 +40,7 @@ def check_golden(capsys, name, argv, fmt):
 # name and ids it had before the case table existed; test_golden_output runs the rest.
 NORM_DENSE = ("norm_dense_",)
 APPLY = ("apply_",)
-DECOMPOSITIONS = ("split_", "socle_", "quot_", "fdeg_", "matrix_")
+DECOMPOSITIONS = ("split_", "socle_", "quot_", "fdeg_")
 
 
 def golden_params(prefixes):

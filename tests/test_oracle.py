@@ -22,7 +22,7 @@ from idop.oracle import (
     up,
 )
 from idop.tensor import ElementN, apply_n, lift
-from conftest import atoms, elements1, elements_n, nonzero_elements1
+from conftest import atoms, coefficients, elements1, elements_n, nonzero_elements1
 
 D = Element1.from_generator("d")
 I = Element1.from_generator("I")
@@ -63,6 +63,46 @@ def scaled(m, c):
     out = TruncMatrix(m.size, m.rank)
     out.entries = [[c * v for v in row] for row in m.entries]
     return out
+
+
+def matrix_product_verdict(a, b, N) -> bool:
+    """consistent's verdict through the literal matrix product A B of the truncated
+    matrices of a and b, compared with the matrix of a*b on the window columns."""
+    build = to_matrix if a.n == 1 else to_matrix_n
+    prod, mm = build(a * b, N), build(a, N) @ build(b, N)
+    w = N - up(a) - up(b)
+    window = [col for col, multi in enumerate(product(range(N), repeat=a.n)) if max(multi) < w]
+    return all(
+        [p[col] for col in window] == [m[col] for col in window]
+        for p, m in zip(prod.entries, mm.entries)
+    )
+
+
+@st.composite
+def window_cases(draw):
+    """(a, b, N, extra) at rank 1-3 with a nonempty window, and maybe a wrong term
+    to add to every product; atoms are smaller at higher rank, so that N**n stays
+    within a few hundred."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    grade, index = {1: 3, 2: 2, 3: 1}[n], {1: 5, 2: 3, 3: 2}[n]
+    small_atoms = st.one_of(
+        st.tuples(
+            st.just("v"),
+            st.integers(min_value=-grade, max_value=grade),
+            st.integers(min_value=0, max_value=2),
+        ),
+        st.tuples(
+            st.just("e"),
+            st.integers(min_value=0, max_value=index),
+            st.integers(min_value=0, max_value=index),
+        ),
+    )
+    keys = st.tuples(*([small_atoms] * n))
+    a, b = (ElementN(n, draw(st.dictionaries(keys, coefficients, max_size=3))) for _ in "ab")
+    N = up(a) + up(b) + draw(st.integers(min_value=1, max_value=3))
+    wrong = st.builds(lambda k, c: ElementN(n, {k: c}), keys, coefficients)
+    extra = draw(st.one_of(st.none(), wrong))
+    return a, b, N, extra
 
 
 def exact_rank(rows) -> int:
@@ -252,6 +292,63 @@ class TestConsistent:
         product = tensor._product
         monkeypatch.setattr(tensor, "_product", lambda x, y: product(x, y) + extra)
         assert consistent(a, b, N) is not inside
+
+    def test_verdict_is_the_matrix_product_verdict(self, monkeypatch):
+        # the same answer as the literal N^n x N^n product A B on the window, for
+        # right products and for products with a wrong term that may or may not
+        # reach a window column
+        verdicts = set()
+        right_product = tensor._product
+
+        @given(window_cases())
+        @settings(max_examples=80, deadline=None)
+        def check(case):
+            a, b, N, extra = case
+            with monkeypatch.context() as m:
+                if extra is not None:
+                    m.setattr(tensor, "_product", lambda x, y: right_product(x, y) + extra)
+                verdict = consistent(a, b, N)
+                assert verdict is matrix_product_verdict(a, b, N)
+            verdicts.add(verdict)
+
+        check()
+        assert verdicts == {True, False}
+
+    def test_no_matrix_product_is_formed(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("consistent formed a matrix product")
+
+        monkeypatch.setattr(TruncMatrix, "__matmul__", refuse)
+        for n in (1, 2, 3):
+            I_n = ElementN(n, {(("v", 1, 0),) * n: 1})  # I in every slot
+            d_n = ElementN(n, {(("v", -1, 0),) * n: 1})
+            assert consistent(d_n, I_n, 5)
+            assert consistent(I_n + lift(n, H, n), d_n, 5)
+
+    @pytest.mark.parametrize("n, N", [(1, 24), (2, 8), (3, 5)])
+    def test_planted_rule_bug_fails_some_pair(self, monkeypatch, n, N):
+        # the sign of the e-unit correction of I^a d^m flipped in the last slot's
+        # rule table; 300 sampler pairs with a nonempty window fail 43, 28 and 2
+        # times at ranks 1, 2 and 3
+        from idop.sampling import random_nonzero_element_n
+
+        rng = random.Random(5)
+        pairs = []
+        while len(pairs) < 300:
+            a, b = random_nonzero_element_n(rng, n), random_nonzero_element_n(rng, n)
+            if up(a) + up(b) < N:
+                pairs.append((a, b))
+        assert all(consistent(a, b, N) for a, b in pairs)
+        block_mul = tensor._block_mul
+
+        def flipped(left, right):
+            out = block_mul(left, right)
+            if left[0] == "v" == right[0]:  # the grade block first, then the corrections
+                out = out[:1] + [(block, -c) for block, c in out[1:]]
+            return out
+
+        monkeypatch.setattr(tensor, "_block_mul", flipped)
+        assert not all(consistent(a, b, N) for a, b in pairs)
 
 
 class TestTensorMatrix:
